@@ -14,10 +14,11 @@ from .families import (LimitObject, RegFamily, fourier_family, half_abs,
 from .pairing import (PairingResult, RateFit, extrapolate_limit, pair,
                       pair_lorentz, pair_sinc, pair_split, sine_decay_fit)
 from .quadrature import QuadResult, QuadratureError, adaptive_quad
-from .seqdist import (FundamentalSeq, GridReport, check_equivalent,
-                      check_fundamental, check_zero_off_origin, damped_cos_seq,
-                      lorentz_delta_seq, pair_by_parts, scaled_cos_seq,
-                      seq_derivative, sinc_delta_seq, sinc_step_seq, zero_seq)
+from .seqdist import (FundamentalSeq, GridReport, OffOriginBound,
+                      check_equivalent, check_fundamental,
+                      check_zero_off_origin, damped_cos_seq, lorentz_delta_seq,
+                      pair_by_parts, scaled_cos_seq, seq_derivative,
+                      sinc_delta_seq, sinc_step_seq, zero_seq)
 from .special import dirichlet_tail, fubini_square, si, sinc_sq_integral
 from .testfn import (DifferenceQuotient, Interval, SmoothStep, TestFunction,
                      bump, derivative, difference_quotient, mollifier,
@@ -33,10 +34,10 @@ __all__ = [
     "PairingResult", "RateFit", "extrapolate_limit", "pair", "pair_lorentz",
     "pair_sinc", "pair_split", "sine_decay_fit",
     "QuadResult", "QuadratureError", "adaptive_quad",
-    "FundamentalSeq", "GridReport", "check_equivalent", "check_fundamental",
-    "check_zero_off_origin", "damped_cos_seq", "lorentz_delta_seq",
-    "pair_by_parts", "scaled_cos_seq", "seq_derivative", "sinc_delta_seq",
-    "sinc_step_seq", "zero_seq",
+    "FundamentalSeq", "GridReport", "OffOriginBound", "check_equivalent",
+    "check_fundamental", "check_zero_off_origin", "damped_cos_seq",
+    "lorentz_delta_seq", "pair_by_parts", "scaled_cos_seq", "seq_derivative",
+    "sinc_delta_seq", "sinc_step_seq", "zero_seq",
     "dirichlet_tail", "fubini_square", "si", "sinc_sq_integral",
     "DifferenceQuotient", "Interval", "SmoothStep", "TestFunction", "bump",
     "derivative", "difference_quotient", "mollifier", "smooth_step_down",

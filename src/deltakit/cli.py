@@ -3,19 +3,15 @@
 Exit codes: 0 all checks pass, 1 a tolerance/bound failed, 2 configuration
 error. Output is deterministic byte-for-byte for a fixed configuration
 (pairing sums panels in a fixed order; floats are printed with 17 significant
-digits). The DELTAKIT_THREADS environment variable caps how many pairings run
-concurrently; results are assembled by index, so the thread count never
-changes the output.
+digits).
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -57,6 +53,8 @@ def _parse_floats(text, name, parser, expected=None):
         parser.error(f"--{name} expects a comma-separated list of numbers, got {text!r}")
     if not values:
         parser.error(f"--{name} must not be empty")
+    if not all(math.isfinite(v) for v in values):
+        parser.error(f"--{name} expects finite numbers, got {text!r}")
     if expected is not None and len(values) != expected:
         parser.error(f"--{name} expects exactly {expected} numbers, got {len(values)}")
     return values
@@ -80,14 +78,6 @@ def _json_text(payload):
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _thread_budget():
-    raw = os.environ.get("DELTAKIT_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _build_test_function(config):
     f = bump(*config.bump_knots)
     if config.shift:
@@ -99,19 +89,12 @@ def cmd_pair(config):
     f = _build_test_function(config)
     f0 = float(f(0.0))
     if config.family == "fourier":
-        worker = lambda p: pair_sinc(p, f)
+        pair_fn = pair_sinc
         mode = "inverse_param"
     else:
-        worker = lambda p: pair_lorentz(p, f)
+        pair_fn = pair_lorentz
         mode = "log_corrected"
-
-    budget = _thread_budget()
-    if budget > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=budget) as pool:
-            results = list(pool.map(worker, config.params))
-    else:
-        results = [worker(p) for p in config.params]
-
+    results = [pair_fn(p, f) for p in config.params]
     samples = [(p, res.value) for p, res in zip(config.params, results)]
     limit = extrapolate_limit(samples, mode=mode)
     limit_error = abs(limit - f0)
@@ -138,16 +121,26 @@ def cmd_pair(config):
     return 0 if passed else 1
 
 
-def cmd_certify(config):
+def _certify_kwargs(name, params, parser):
+    """Certificate arguments from --params; exit 2 on values it cannot run on."""
     kwargs = {}
-    if config.certificate in ("lemma4", "lemma6_lorentz", "lemma6_theta") and config.params:
-        kwargs["n_max"] = int(config.params[0])
-    if config.certificate in ("lemma6_lorentz", "lemma6_theta") and len(config.params) > 1:
-        kwargs["a"] = float(config.params[1])
-    if config.certificate == "fubini" and config.params:
-        kwargs["R_list"] = config.params
-    if config.certificate == "lemma5_rate" and config.params:
-        kwargs["eps_list"] = config.params
+    if name in ("lemma4", "lemma6_lorentz", "lemma6_theta") and params:
+        if not (params[0] >= 1 and params[0].is_integer()):
+            parser.error(f"--params n_max must be an integer >= 1, got {params[0]:g}")
+        kwargs["n_max"] = int(params[0])
+    if name in ("lemma6_lorentz", "lemma6_theta") and len(params) > 1:
+        kwargs["a"] = float(params[1])
+    if name == "fubini" and params:
+        kwargs["R_list"] = params
+    if name == "lemma5_rate" and params:
+        kwargs["eps_list"] = params
+    positive = [kwargs.get("a", 1.0), *kwargs.get("R_list", ()), *kwargs.get("eps_list", ())]
+    if not all(v > 0 for v in positive):
+        parser.error(f"--params of {name} must be > 0 (a, R or eps)")
+    return kwargs
+
+
+def cmd_certify(config, kwargs):
     report = run_certificate(config.certificate, **kwargs)
     payload = {
         "command": "certify",
@@ -289,6 +282,9 @@ def main(argv=None):
             parser.error("--params must all be positive")
         if len(config.params) < 3:
             parser.error("--params needs at least 3 values for limit extrapolation")
+        steps = np.diff(config.params)
+        if not (np.all(steps > 0) or np.all(steps < 0)):
+            parser.error("--params must be strictly increasing or strictly decreasing")
         return cmd_pair(config)
 
     if args.command == "certify":
@@ -297,7 +293,7 @@ def main(argv=None):
             config.params = _parse_floats(args.params, "params", parser)
         if config.certificate not in certificate_names():
             parser.error(f"unknown certificate {config.certificate!r}")
-        return cmd_certify(config)
+        return cmd_certify(config, _certify_kwargs(config.certificate, config.params, parser))
 
     config.fig = args.fig
     if not 1 <= config.fig <= 9:

@@ -123,7 +123,7 @@ def sine_decay_fit(g, interval, r_list, *, tol=1e-12):
                             iv.lo, iv.hi, tol=tol, max_panel=min(0.5, math.pi / r))
         samples.append((r, res.value))
 
-    gprime_l1 = adaptive_quad(lambda x: np.abs(derivative(g, x, 1, max_order=4)),
+    gprime_l1 = adaptive_quad(lambda x: np.abs(derivative(g, x, 1)),
                               iv.lo, iv.hi, tol=1e-8).value
     bound_const = abs(float(g(iv.hi))) + abs(float(g(iv.lo))) + gprime_l1
     for r, value in samples:

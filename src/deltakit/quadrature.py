@@ -83,7 +83,7 @@ def _panel_rule(f, lo, hi):
     hw = 0.5 * (hi - lo)
     pts = mid[:, None] + hw[:, None] * NODES[None, :]
     fx = _call_integrand(f, pts)
-    if not np.all(np.isfinite(fx)):
+    if not np.isfinite(fx).all():
         bad = pts[~np.isfinite(fx)]
         raise QuadratureError(f"integrand returned a non-finite value near x={bad.ravel()[0]!r}")
     # row-wise reductions (not matmul): results are independent of batch shape
@@ -92,20 +92,18 @@ def _panel_rule(f, lo, hi):
     return k15, np.abs(k15 - g7)
 
 
-def _initial_edges(a, b, max_panel, breakpoints):
-    cuts = {a, b}
-    for p in breakpoints:
-        p = float(p)
-        if a < p < b:
-            cuts.add(p)
-    edges = sorted(cuts)
+def _initial_edges(edges, max_panel):
+    """Panel edges of sorted, distinct edges. With max_panel > 0 each segment
+    [lo, hi] is cut into n_sub = ceil((hi - lo)/max_panel) panels whose k-th
+    edge is lo + k*((hi - lo)/n_sub), bit-identical to np.linspace."""
     if max_panel is None or max_panel <= 0:
-        return np.asarray(edges)
-    refined = [edges[0]]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        n_sub = max(1, int(math.ceil((hi - lo) / max_panel)))
-        refined.extend(np.linspace(lo, hi, n_sub + 1)[1:].tolist())
-    return np.asarray(refined)
+        return edges
+    lo = edges[:-1]
+    width = edges[1:] - lo
+    n_sub = np.maximum(1, np.ceil(width / max_panel)).astype(int)
+    k = np.arange(n_sub.sum()) - (n_sub.cumsum() - n_sub).repeat(n_sub)
+    refined = lo.repeat(n_sub) + k * (width / n_sub).repeat(n_sub)
+    return np.concatenate((refined, edges[-1:]))
 
 
 def adaptive_quad(f, a, b, *, tol=1e-10, max_panel=None, breakpoints=(),
@@ -129,7 +127,9 @@ def adaptive_quad(f, a, b, *, tol=1e-10, max_panel=None, breakpoints=(),
         a, b = b, a
         sign = -1.0
 
-    edges = _initial_edges(a, b, max_panel, breakpoints)
+    cuts = {a, b}
+    cuts.update(p for p in map(float, breakpoints) if a < p < b)
+    edges = _initial_edges(np.array(sorted(cuts)), max_panel)
     lo, hi = edges[:-1], edges[1:]
     vals, errs = _panel_rule(f, lo, hi)
 
@@ -171,19 +171,7 @@ def anchored_primitive_values(f, xs, *, tol=1e-10, max_panel=None):
     knots = np.unique(np.concatenate([xs_arr.ravel(), [0.0]]))
     if knots.size == 1:
         return np.zeros_like(xs_arr)
-    lo, hi = knots[:-1], knots[1:]
-    if max_panel is not None and max_panel > 0:
-        wide = (hi - lo) > max_panel
-        if wide.any():
-            pieces = [knots]
-            for s, e in zip(lo[wide], hi[wide]):
-                n_sub = int(math.ceil((e - s) / max_panel))
-                pieces.append(np.linspace(s, e, n_sub + 1)[1:-1])
-            knots_fine = np.unique(np.concatenate(pieces))
-        else:
-            knots_fine = knots
-    else:
-        knots_fine = knots
+    knots_fine = _initial_edges(knots, max_panel)
     seg_lo, seg_hi = knots_fine[:-1], knots_fine[1:]
 
     vals, errs = _panel_rule(f, seg_lo, seg_hi)

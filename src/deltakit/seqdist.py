@@ -21,10 +21,11 @@ from .families import (half_abs, half_step, lorentz_delta_n,
                        sinc_delta, sinc_delta_prime, sinc_kink, sinc_step)
 from .pairing import extrapolate_limit
 from .quadrature import adaptive_quad, anchored_primitive_values
-from .testfn import Interval, derivative
+from .testfn import MAX_DERIVATIVE_ORDER, Interval, derivative
 
 __all__ = [
     "FundamentalSeq",
+    "OffOriginBound",
     "GridReport",
     "sinc_delta_seq",
     "sinc_step_seq",
@@ -55,25 +56,44 @@ class GridReport:
     cauchy_tail: tuple | None = None
 
 
+@dataclass(frozen=True)
+class OffOriginBound:
+    """What check_zero_off_origin measures on |x| >= a, and the bound it must obey.
+
+    quantity(n, x) is the function whose sup over the grid is reported;
+    bound(n, a) must hold for every n (to 1e-12), and the last sup must also
+    lie within max(tol, bound). With bound None only the last sup is
+    checked, against tol. text is reported as GridReport.bound_used.
+    """
+
+    quantity: Callable
+    bound: Callable | None
+    text: str
+
+
 class FundamentalSeq:
     """Indexed sequence of continuous functions with an anchored primitive tower.
 
     term(n, x) evaluates the n-th member; primitives holds closed-form
     anchored primitives for levels 1..len(primitives). Levels up to
     primitive_order beyond the closed forms are lifted numerically
-    (anchored adaptive quadrature, tolerance 1e-10). Immutable; evaluations
-    are safe to run concurrently.
+    (anchored adaptive quadrature, tolerance 1e-10). off_origin, an
+    OffOriginBound, is what check_zero_off_origin holds the sequence to away
+    from the origin; by default its terms must fall below tol. label is only
+    displayed. Immutable.
     """
 
     def __init__(self, term, primitive_order, primitives=(),
                  limit_of_primitives=None, term_derivative=None,
-                 label="custom", panel_hint=None, differentiable_terms=True):
+                 label="custom", panel_hint=None, differentiable_terms=True,
+                 off_origin=None):
         self.term = term
         self.primitive_order = int(primitive_order)
         self.primitives = tuple(primitives)
         self.limit_of_primitives = limit_of_primitives
         self.term_derivative = term_derivative
         self.label = label
+        self.off_origin = off_origin or OffOriginBound(term, None, "sup |term(n, x)| below tol")
         self.panel_hint = panel_hint
         self.differentiable_terms = bool(differentiable_terms)
         if self.primitive_order < 0:
@@ -99,6 +119,14 @@ class FundamentalSeq:
                                          max_panel=self._max_panel(n))
 
 
+# The truncated-spectrum terms oscillate without decay off the origin, so
+# their smoothed half-steps are held against the exact step instead.
+_DIRICHLET_TAIL = OffOriginBound(
+    quantity=lambda n, x: sinc_step(n, x) - half_step(x),
+    bound=lambda n, a: 2.0 / (math.pi * n * a),
+    text="Dirichlet tail bound 2/(pi n a) on |step_n - step|")
+
+
 def sinc_delta_seq():
     """The truncated-spectrum delta sequence with its closed tower (k = 2)."""
     return FundamentalSeq(
@@ -107,7 +135,8 @@ def sinc_delta_seq():
         limit_of_primitives=half_abs,
         term_derivative=sinc_delta_prime,
         label="fourier_kernel",
-        panel_hint=lambda n: min(0.5, math.pi / n))
+        panel_hint=lambda n: min(0.5, math.pi / n),
+        off_origin=_DIRICHLET_TAIL)
 
 
 def sinc_step_seq():
@@ -118,7 +147,8 @@ def sinc_step_seq():
         limit_of_primitives=half_abs,
         term_derivative=sinc_delta,
         label="fourier_step",
-        panel_hint=lambda n: min(0.5, math.pi / n))
+        panel_hint=lambda n: min(0.5, math.pi / n),
+        off_origin=_DIRICHLET_TAIL)
 
 
 def lorentz_delta_seq():
@@ -128,7 +158,10 @@ def lorentz_delta_seq():
         primitives=(lorentz_step, lorentz_kink),
         limit_of_primitives=half_abs,
         term_derivative=lorentz_delta_prime,
-        label="lorentz")
+        label="lorentz",
+        # the kernel decreases away from 0, so its peak on |x| >= a is at a
+        off_origin=OffOriginBound(lorentz_delta_n, lorentz_delta_n,
+                                  "peak value of the kernel at |x| = a"))
 
 
 def zero_seq():
@@ -256,7 +289,7 @@ def seq_derivative(seq):
         new_term = seq.term_derivative
     elif seq.differentiable_terms:
         old_term = seq.term
-        new_term = lambda n, x: derivative(lambda t: old_term(n, t), x, 1, max_order=4)
+        new_term = lambda n, x: derivative(lambda t: old_term(n, t), x, 1)
     else:
         raise ValueError("sequence terms are not differentiable; cannot shift the tower")
     return FundamentalSeq(
@@ -278,9 +311,9 @@ def pair_by_parts(seq, f, *, tol=1e-9, n_ladder=(100, 200, 400, 800)):
     integrals of the level-k primitives over n_ladder.
     """
     k = seq.primitive_order
-    if k > f.max_derivative_order:
+    if k > MAX_DERIVATIVE_ORDER:
         raise ValueError(f"pairing by parts needs derivative order {k}, "
-                         f"but f only supports {f.max_derivative_order}")
+                         f"but f only supports {MAX_DERIVATIVE_ORDER}")
     support = Interval.coerce(f.support)
     fk = f if k == 0 else (lambda x: derivative(f, x, k))
     sign = -1.0 if k % 2 else 1.0
@@ -304,11 +337,8 @@ def check_zero_off_origin(seq, a, n_max=100, *, grid_points=DEFAULT_GRID,
                           reach=5.0, tol=1e-8):
     """Verify that the sequence represents 0 on |x| >= a (away from the origin).
 
-    Lorentz kernels: the terms themselves go to 0 uniformly, bounded by the
-    peak value at |x| = a (the kernel decreases away from 0). Truncated-
-    spectrum kernels: the terms oscillate without decay, so the smoothed
-    half-steps are compared against the exact step, bounded by the Dirichlet
-    tail 2/(pi n a). Anything else: the terms must fall below tol.
+    Measures the sequence's declared seq.off_origin on |x| in [a, a + reach]
+    for n = 1..n_max; OffOriginBound states how the verdict follows.
     """
     a = float(a)
     if a <= 0.0:
@@ -318,32 +348,18 @@ def check_zero_off_origin(seq, a, n_max=100, *, grid_points=DEFAULT_GRID,
     xs = np.concatenate([-xs_pos[::-1], xs_pos])
     ns = np.arange(1, int(n_max) + 1)
 
+    off = seq.off_origin
     sup_errors = []
-    if seq.label == "lorentz":
-        bound_used = "peak value of the kernel at |x| = a"
-        ok = True
-        for n in ns:
-            sup_val = float(np.max(np.abs(seq.term(int(n), xs))))
-            peak = float(lorentz_delta_n(int(n), a))
-            sup_errors.append(sup_val)
-            ok = ok and sup_val <= peak + 1e-12
-        verdict = ok and sup_errors[-1] <= max(tol, float(lorentz_delta_n(int(ns[-1]), a)))
-    elif seq.label in ("fourier_kernel", "fourier_step"):
-        bound_used = "Dirichlet tail bound 2/(pi n a) on |step_n - step|"
-        target = half_step(xs)
-        ok = True
-        for n in ns:
-            sup_val = float(np.max(np.abs(sinc_step(int(n), xs) - target)))
-            sup_errors.append(sup_val)
-            ok = ok and sup_val <= 2.0 / (math.pi * n * a) + 1e-12
-        verdict = ok
-    else:
-        bound_used = "sup |term(n, x)| below tol"
-        for n in ns:
-            sup_errors.append(float(np.max(np.abs(seq.term(int(n), xs)))))
-        verdict = sup_errors[-1] <= tol
+    ok = True
+    for n in ns:
+        sup_val = float(np.max(np.abs(off.quantity(int(n), xs))))
+        sup_errors.append(sup_val)
+        if off.bound is not None:
+            ok = ok and sup_val <= float(off.bound(int(n), a)) + 1e-12
+    last_bound = float(off.bound(int(ns[-1]), a)) if off.bound is not None else 0.0
+    verdict = ok and sup_errors[-1] <= max(tol, last_bound)
 
     return GridReport(interval=(a, a + reach), grid_points=2 * half_pts,
                       n_values=tuple(int(n) for n in ns),
                       sup_errors=tuple(sup_errors),
-                      verdict=bool(verdict), bound_used=bound_used, tol=float(tol))
+                      verdict=bool(verdict), bound_used=off.text, tol=float(tol))

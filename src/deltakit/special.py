@@ -13,8 +13,7 @@ import math
 import numpy as np
 
 from ._util import as_float_array, maybe_scalar, require_positive
-from .quadrature import (GAUSS_WEIGHTS, KRONROD_WEIGHTS, NODES, QuadResult,
-                         adaptive_quad)
+from .quadrature import QuadResult, _panel_rule, adaptive_quad
 
 __all__ = ["si", "dirichlet_tail", "sinc_sq_integral", "fubini_square", "QuadResult"]
 
@@ -76,13 +75,8 @@ def _si_panels(ax):
     prefix = _prefix_table()
     m = np.minimum(np.floor(ax / math.pi).astype(int), prefix.size - 2)
     lo = m * math.pi
-    mid = 0.5 * (lo + ax)
-    hw = 0.5 * (ax - lo)
-    pts = mid[:, None] + hw[:, None] * NODES[None, :]
-    fx = sinc(pts)
-    k15 = hw * (fx * KRONROD_WEIGHTS).sum(axis=1)
-    rough = np.abs(k15 - hw * (fx * GAUSS_WEIGHTS).sum(axis=1)) > 1e-13
-    for i in np.flatnonzero(rough):
+    k15, err = _panel_rule(sinc, lo, ax)
+    for i in np.flatnonzero(err > 1e-13):
         k15[i] = adaptive_quad(sinc, lo[i], ax[i], tol=1e-14).value
     return prefix[m] + k15
 

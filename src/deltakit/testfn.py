@@ -32,6 +32,9 @@ __all__ = [
 # distance >= 0.01 from the knots.
 MOLLIFIER_KNEE = 1.0 / 745.0
 
+# Highest derivative order the finite-difference stencils provide.
+MAX_DERIVATIVE_ORDER = 4
+
 
 @dataclass(frozen=True)
 class Interval:
@@ -119,15 +122,14 @@ def smooth_step_down(gamma, delta):
 class TestFunction:
     """Smooth function with compact support and finite-difference derivatives.
 
-    Immutable after construction; safe to evaluate concurrently.
+    Immutable after construction.
     """
 
     __test__ = False  # not a pytest collection target
 
-    def __init__(self, fn, support, *, max_derivative_order=4, label="f"):
+    def __init__(self, fn, support, *, label="f"):
         self._fn = fn
         self.support = Interval.coerce(support)
-        self.max_derivative_order = int(max_derivative_order)
         self.label = label
 
     def __call__(self, x):
@@ -145,7 +147,6 @@ class TestFunction:
         fn = self._fn
         return TestFunction(lambda x: fn(np.asarray(x, dtype=float) - x0),
                             self.support.shifted(x0),
-                            max_derivative_order=self.max_derivative_order,
                             label=f"{self.label} shifted by {x0:g}")
 
     def scaled(self, c):
@@ -153,7 +154,6 @@ class TestFunction:
         c = float(c)
         fn = self._fn
         return TestFunction(lambda x: c * fn(x), self.support,
-                            max_derivative_order=self.max_derivative_order,
                             label=f"{c:g} * {self.label}")
 
 
@@ -184,17 +184,15 @@ def _stencil(f, x, h, order):
     raise ValueError(f"unsupported derivative order {order}")
 
 
-def derivative(f, x, order=1, *, max_order=None):
+def derivative(f, x, order=1):
     """Central finite-difference derivative with one Richardson level, O(h^4).
 
-    Step: h = eps^(1/(order+2)) * max(1, |x|), the standard truncation/roundoff
-    tradeoff for each stencil.
+    Orders 1..MAX_DERIVATIVE_ORDER. Step: h = eps^(1/(order+2)) * max(1, |x|),
+    the standard truncation/roundoff tradeoff for each stencil.
     """
-    if max_order is None:
-        max_order = getattr(f, "max_derivative_order", 4)
     order = int(order)
-    if not 1 <= order <= max_order:
-        raise ValueError(f"derivative order must be in [1, {max_order}], got {order}")
+    if not 1 <= order <= MAX_DERIVATIVE_ORDER:
+        raise ValueError(f"derivative order must be in [1, {MAX_DERIVATIVE_ORDER}], got {order}")
     arr, scalar = as_float_array(x)
     h = EPS ** (1.0 / (order + 2)) * np.maximum(1.0, np.abs(arr))
     coarse = _stencil(f, arr, h, order)

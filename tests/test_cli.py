@@ -2,10 +2,22 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+from deltakit.certify import certificate_names
 from deltakit.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_ARGV = {
+    "pair_fourier": ["pair", "--family", "fourier", "--params", "100,200,400,800"],
+    "pair_lorentz": ["pair", "--family", "lorentz", "--params", "1e-1,1e-2,1e-3,1e-4",
+                     "--tol", "1e-2"],
+    "pair_shift": ["pair", "--family", "fourier", "--params", "100,200,400",
+                   "--shift", "0.25"],
+    **{f"certify_{name}": ["certify", name] for name in certificate_names()},
+}
 
 
 def run_cli(capsys, *argv):
@@ -64,6 +76,9 @@ def test_pair_config_errors_exit_2(capsys):
         main(["pair", "--family", "fourier", "--params", "abc"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
+        main(["pair", "--family", "fourier", "--params", "100,200,inf"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
         main(["pair", "--family", "fourier", "--params", "100,200,400",
               "--bump", "1,2,3"])
     assert exc.value.code == 2
@@ -73,12 +88,40 @@ def test_pair_config_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
+def test_pair_non_monotone_params_exit_2():
+    # a ladder may rise (cutoffs) or fall (widths), but never repeat or turn
+    for params in ("100,100,200", "400,100,200"):
+        with pytest.raises(SystemExit) as exc:
+            main(["pair", "--family", "fourier", "--params", params])
+        assert exc.value.code == 2
+
+
 def test_certify_pass(capsys):
     code, out = run_cli(capsys, "certify", "lemma4", "--params", "50")
     assert code == 0
     report = json.loads(out)
     assert report["verdict"] == "pass"
     assert report["results"][0]["certificate"] == "lemma4"
+    # an integral n_max written as a float names the same certificate run
+    assert run_cli(capsys, "certify", "lemma4", "--params", "50.0") == (code, out)
+
+
+# each would otherwise pass vacuously or die in a traceback with exit 1
+BAD_CERTIFY_PARAMS = {
+    "lemma4": ["0", "-5", "2.7", "nan"],
+    "lemma6_lorentz": ["0", "100,0", "100,-0.5", "10,inf"],
+    "lemma6_theta": ["0", "-1", "100,0"],
+    "fubini": ["-1", "1,0,5"],
+    "lemma5_rate": ["0", "1e-2,-1e-3"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CERTIFY_PARAMS))
+def test_certify_bad_params_exit_2(name):
+    for text in BAD_CERTIFY_PARAMS[name]:
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", name, f"--params={text}"])
+        assert exc.value.code == 2, text
 
 
 def test_certify_si_tail_and_identity(capsys):
@@ -126,15 +169,10 @@ def test_figure_bad_id_exit_2(capsys):
     assert exc.value.code == 2
 
 
-def test_thread_env_does_not_change_output(capsys, monkeypatch):
+def test_pair_output_is_deterministic(capsys):
     argv = ["pair", "--family", "fourier", "--params", "100,200,400"]
-    monkeypatch.delenv("DELTAKIT_THREADS", raising=False)
-    code1 = main(argv)
-    out1 = capsys.readouterr().out
-    monkeypatch.setenv("DELTAKIT_THREADS", "4")
-    code2 = main(argv)
-    out2 = capsys.readouterr().out
-    assert (code1, out1) == (code2, out2)
+    first = run_cli(capsys, *argv)
+    assert run_cli(capsys, *argv) == first
 
 
 def test_shifted_kernel_matches_shifted_bump(capsys):
@@ -148,3 +186,28 @@ def test_shifted_kernel_matches_shifted_bump(capsys):
     assert report["target_value_at_zero"] == 1.0
     assert abs(report["extrapolated_limit"] - 1.0) <= 1e-3
     assert math.isfinite(report["extrapolated_limit"])
+
+
+def assert_same_report(got, want, where="report"):
+    """Strings, verdicts and integers exactly; floats within a relative 1e-12."""
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), where
+        for key in want:
+            assert_same_report(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same_report(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert isinstance(got, float) and math.isclose(got, want, rel_tol=1e-12), \
+            (where, got, want)
+    else:
+        assert type(got) is type(want) and got == want, (where, got, want)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ARGV))
+def test_output_matches_golden(capsys, name):
+    want = json.loads((GOLDEN / f"{name}.json").read_text())
+    code, out = run_cli(capsys, *GOLDEN_ARGV[name])
+    assert code == (0 if want["verdict"] == "pass" else 1)
+    assert_same_report(json.loads(out), want)

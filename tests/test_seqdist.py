@@ -17,9 +17,9 @@ def test_tower_consistency():
     xs = np.concatenate([np.linspace(-5, -0.02, 30), np.linspace(0.02, 5, 30)])
     for seq in (sinc_delta_seq(), lorentz_delta_seq()):
         for n in (1, 5, 20):
-            d1 = derivative(lambda x: seq.primitive(1, n, x), xs, 1, max_order=4)
+            d1 = derivative(lambda x: seq.primitive(1, n, x), xs, 1)
             assert np.max(np.abs(d1 - seq.primitive(0, n, xs))) <= 1e-6
-            d2 = derivative(lambda x: seq.primitive(2, n, x), xs, 1, max_order=4)
+            d2 = derivative(lambda x: seq.primitive(2, n, x), xs, 1)
             assert np.max(np.abs(d2 - seq.primitive(1, n, xs))) <= 1e-6
 
 
@@ -189,6 +189,14 @@ def test_zero_off_origin_step_side():
     assert report.verdict
     ns = np.asarray(report.n_values, dtype=float)
     assert np.all(np.asarray(report.sup_errors) <= 2.0 / (math.pi * ns) + 1e-12)
+
+
+def test_zero_off_origin_ignores_label():
+    # the label is only displayed; the declared bound picks the verdict
+    renamed = lorentz_delta_seq()
+    renamed.label = "renamed"
+    assert check_zero_off_origin(renamed, 0.5, n_max=50) == \
+        check_zero_off_origin(lorentz_delta_seq(), 0.5, n_max=50)
 
 
 def test_zero_off_origin_trivial_and_validation():
