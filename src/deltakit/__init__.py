@@ -7,10 +7,10 @@ convergence bounds.
 """
 
 from .certify import CertReport, certificate_names, run_certificate
-from .families import (LimitObject, RegFamily, fourier_family, half_abs,
-                       half_step, limit_object, lorentz_delta, lorentz_delta_n,
-                       lorentz_family, lorentz_kink, lorentz_step, sinc_delta,
-                       sinc_kink, sinc_step)
+from .families import (RegFamily, fourier_family, half_abs, half_step,
+                       lorentz_delta, lorentz_delta_n, lorentz_family,
+                       lorentz_kink, lorentz_step, sinc_delta, sinc_kink,
+                       sinc_step)
 from .pairing import (PairingResult, RateFit, extrapolate_limit, pair,
                       pair_lorentz, pair_sinc, pair_split, sine_decay_fit)
 from .quadrature import QuadResult, QuadratureError, adaptive_quad
@@ -28,8 +28,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CertReport", "certificate_names", "run_certificate",
-    "LimitObject", "RegFamily", "fourier_family", "half_abs", "half_step",
-    "limit_object", "lorentz_delta", "lorentz_delta_n", "lorentz_family",
+    "RegFamily", "fourier_family", "half_abs", "half_step",
+    "lorentz_delta", "lorentz_delta_n", "lorentz_family",
     "lorentz_kink", "lorentz_step", "sinc_delta", "sinc_kink", "sinc_step",
     "PairingResult", "RateFit", "extrapolate_limit", "pair", "pair_lorentz",
     "pair_sinc", "pair_split", "sine_decay_fit",

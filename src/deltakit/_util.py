@@ -26,3 +26,11 @@ def require_positive(value, name):
     if not np.isfinite(value) or value <= 0.0:
         raise ValueError(f"{name} must be a finite positive number, got {value!r}")
     return value
+
+
+def require_count(value, name):
+    """An integer >= 1; an integral float such as 1000.0 counts as one."""
+    value = float(value)
+    if not (value >= 1.0 and value.is_integer()):
+        raise ValueError(f"{name} must be an integer >= 1, got {value:g}")
+    return int(value)

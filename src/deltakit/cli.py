@@ -1,9 +1,16 @@
 """Command-line surface: pair, certify named bounds, and emit figure datasets.
 
+Each subcommand takes only the flags it reads: `pair` takes --bump, --shift
+and --tol, `figure` takes --interval and --grid, and all three take --out and
+--format. `certify NAME --params` hands its values to run_certificate(NAME,
+*params) in order, so a certificate takes exactly the parameters its
+signature names.
+
 Exit codes: 0 all checks pass, 1 a tolerance/bound failed, 2 configuration
-error. Output is deterministic byte-for-byte for a fixed configuration
-(pairing sums panels in a fixed order; floats are printed with 17 significant
-digits).
+error, including a flag the subcommand does not take and --params values a
+certificate cannot run on or has no place for. Output is deterministic
+byte-for-byte for a fixed configuration (pairing sums panels in a fixed order;
+floats are printed with 17 significant digits).
 """
 
 from __future__ import annotations
@@ -121,27 +128,11 @@ def cmd_pair(config):
     return 0 if passed else 1
 
 
-def _certify_kwargs(name, params, parser):
-    """Certificate arguments from --params; exit 2 on values it cannot run on."""
-    kwargs = {}
-    if name in ("lemma4", "lemma6_lorentz", "lemma6_theta") and params:
-        if not (params[0] >= 1 and params[0].is_integer()):
-            parser.error(f"--params n_max must be an integer >= 1, got {params[0]:g}")
-        kwargs["n_max"] = int(params[0])
-    if name in ("lemma6_lorentz", "lemma6_theta") and len(params) > 1:
-        kwargs["a"] = float(params[1])
-    if name == "fubini" and params:
-        kwargs["R_list"] = params
-    if name == "lemma5_rate" and params:
-        kwargs["eps_list"] = params
-    positive = [kwargs.get("a", 1.0), *kwargs.get("R_list", ()), *kwargs.get("eps_list", ())]
-    if not all(v > 0 for v in positive):
-        parser.error(f"--params of {name} must be > 0 (a, R or eps)")
-    return kwargs
-
-
-def cmd_certify(config, kwargs):
-    report = run_certificate(config.certificate, **kwargs)
+def cmd_certify(config, parser):
+    try:
+        report = run_certificate(config.certificate, *config.params)
+    except ValueError as exc:  # raised on entry, before any numeric work
+        parser.error(f"--params of {config.certificate}: {exc}")
     payload = {
         "command": "certify",
         "config": config.echo(),
@@ -226,57 +217,49 @@ def _build_parser():
         description="Regularized delta families: pairings, certified bounds, figure data.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--bump", default="-2,-1,1,2",
-                       help="bump knots a,b,c,d (default -2,-1,1,2)")
-        p.add_argument("--shift", type=float, default=0.0,
-                       help="translate the test function by x0")
-        p.add_argument("--interval", default="-5,5", help="grid interval lo,hi")
-        p.add_argument("--grid", type=int, default=2001, help="grid points (>= 2)")
-        p.add_argument("--tol", type=float, default=1e-3, help="pass tolerance")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
+    def add_output(p, fmt, where="stdout"):
+        p.add_argument("--out", default=None, help=f"output path (default {where})")
+        p.add_argument("--format", choices=("csv", "json"), default=fmt)
 
     p_pair = sub.add_parser("pair", help="pair a regularized family against a bump")
     p_pair.add_argument("--family", choices=("fourier", "lorentz"), required=True)
     p_pair.add_argument("--params", required=True,
                         help="comma list of cutoffs R (fourier) or widths eps (lorentz)")
-    add_common(p_pair)
+    p_pair.add_argument("--bump", default="-2,-1,1,2",
+                        help="bump knots a,b,c,d (default -2,-1,1,2)")
+    p_pair.add_argument("--shift", type=float, default=0.0,
+                        help="translate the test function by x0")
+    p_pair.add_argument("--tol", type=float, default=1e-3, help="pass tolerance")
+    add_output(p_pair, "json")
 
     p_cert = sub.add_parser("certify", help="run a named bound certificate")
-    p_cert.add_argument("certificate", help=f"one of: {', '.join(certificate_names())}")
+    p_cert.add_argument("certificate", choices=certificate_names())
     p_cert.add_argument("--params", default=None,
-                        help="optional comma list (n_max[,a] / R list / eps list)")
-    add_common(p_cert)
+                        help="comma list: n_max[,a] (lemma4 takes n_max only), "
+                             "R list (fubini), eps list (lemma5_rate); "
+                             "si_tail and eq23_identity take none")
+    add_output(p_cert, "json")
 
     p_fig = sub.add_parser("figure", help="emit the dataset behind one figure as CSV")
     p_fig.add_argument("--fig", type=int, required=True, help="figure id, 1..9")
-    add_common(p_fig)
+    p_fig.add_argument("--interval", default="-5,5", help="grid interval lo,hi")
+    p_fig.add_argument("--grid", type=int, default=2001, help="grid points (>= 2)")
+    add_output(p_fig, "csv", "fig<N>.csv for CSV, stdout for JSON")
     return parser
 
 
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-
-    interval = _parse_floats(args.interval, "interval", parser, expected=2)
-    if not interval[0] < interval[1]:
-        parser.error("--interval requires lo < hi")
-    if args.grid < 2:
-        parser.error("--grid must be >= 2")
-    if args.tol <= 0:
-        parser.error("--tol must be positive")
-    bump_knots = _parse_floats(args.bump, "bump", parser, expected=4)
-    if not all(a < b for a, b in zip(bump_knots, bump_knots[1:])):
-        parser.error("--bump knots must be strictly increasing")
-
-    config = RunConfig(command=args.command, bump_knots=bump_knots,
-                       shift=args.shift, interval=interval, grid=args.grid,
-                       tolerance=args.tol, output_path=args.out,
-                       format=args.format or ("csv" if args.command == "figure" else "json"))
+    config = RunConfig(command=args.command, output_path=args.out, format=args.format)
 
     if args.command == "pair":
-        config.family = args.family
+        if args.tol <= 0:
+            parser.error("--tol must be positive")
+        config.bump_knots = _parse_floats(args.bump, "bump", parser, expected=4)
+        if not all(a < b for a, b in zip(config.bump_knots, config.bump_knots[1:])):
+            parser.error("--bump knots must be strictly increasing")
+        config.family, config.shift, config.tolerance = args.family, args.shift, args.tol
         config.params = _parse_floats(args.params, "params", parser)
         if any(p <= 0 for p in config.params):
             parser.error("--params must all be positive")
@@ -291,13 +274,16 @@ def main(argv=None):
         config.certificate = args.certificate
         if args.params:
             config.params = _parse_floats(args.params, "params", parser)
-        if config.certificate not in certificate_names():
-            parser.error(f"unknown certificate {config.certificate!r}")
-        return cmd_certify(config, _certify_kwargs(config.certificate, config.params, parser))
+        return cmd_certify(config, parser)
 
-    config.fig = args.fig
-    if not 1 <= config.fig <= 9:
+    if not 1 <= args.fig <= 9:
         parser.error("--fig must be in 1..9")
+    config.interval = _parse_floats(args.interval, "interval", parser, expected=2)
+    if not config.interval[0] < config.interval[1]:
+        parser.error("--interval requires lo < hi")
+    if args.grid < 2:
+        parser.error("--grid must be >= 2")
+    config.fig, config.grid = args.fig, args.grid
     return cmd_figure(config)
 
 

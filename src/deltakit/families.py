@@ -37,8 +37,6 @@ __all__ = [
     "RegFamily",
     "fourier_family",
     "lorentz_family",
-    "LimitObject",
-    "limit_object",
 ]
 
 _PI = np.pi
@@ -157,22 +155,3 @@ def lorentz_family():
         lambda eps, x: lorentz_step(1.0 / require_positive(eps, "eps"), x),
         lambda eps, x: lorentz_kink(1.0 / require_positive(eps, "eps"), x),
     )
-
-
-@dataclass(frozen=True)
-class LimitObject:
-    """Limit of a primitive tower: the half-step or the |x|/2 kink."""
-
-    kind: str
-    eval: Callable
-
-    def __call__(self, x):
-        return self.eval(x)
-
-
-def limit_object(kind):
-    if kind == "step_theta":
-        return LimitObject("step_theta", half_step)
-    if kind == "abs_half":
-        return LimitObject("abs_half", half_abs)
-    raise ValueError(f"unknown limit object kind {kind!r}")

@@ -16,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._util import require_count
 from .families import (half_abs, half_step, lorentz_delta_n,
                        lorentz_delta_prime, lorentz_kink, lorentz_step,
                        sinc_delta, sinc_delta_prime, sinc_kink, sinc_step)
@@ -85,8 +86,7 @@ class FundamentalSeq:
 
     def __init__(self, term, primitive_order, primitives=(),
                  limit_of_primitives=None, term_derivative=None,
-                 label="custom", panel_hint=None, differentiable_terms=True,
-                 off_origin=None):
+                 label="custom", panel_hint=None, off_origin=None):
         self.term = term
         self.primitive_order = int(primitive_order)
         self.primitives = tuple(primitives)
@@ -95,7 +95,6 @@ class FundamentalSeq:
         self.label = label
         self.off_origin = off_origin or OffOriginBound(term, None, "sup |term(n, x)| below tol")
         self.panel_hint = panel_hint
-        self.differentiable_terms = bool(differentiable_terms)
         if self.primitive_order < 0:
             raise ValueError("primitive_order must be >= 0")
 
@@ -287,11 +286,9 @@ def seq_derivative(seq):
     """
     if seq.term_derivative is not None:
         new_term = seq.term_derivative
-    elif seq.differentiable_terms:
+    else:
         old_term = seq.term
         new_term = lambda n, x: derivative(lambda t: old_term(n, t), x, 1)
-    else:
-        raise ValueError("sequence terms are not differentiable; cannot shift the tower")
     return FundamentalSeq(
         term=new_term,
         primitive_order=seq.primitive_order + 1,
@@ -299,8 +296,7 @@ def seq_derivative(seq):
         limit_of_primitives=seq.limit_of_primitives,
         term_derivative=None,
         label=f"d/dx {seq.label}",
-        panel_hint=seq.panel_hint,
-        differentiable_terms=seq.differentiable_terms)
+        panel_hint=seq.panel_hint)
 
 
 def pair_by_parts(seq, f, *, tol=1e-9, n_ladder=(100, 200, 400, 800)):
@@ -338,15 +334,17 @@ def check_zero_off_origin(seq, a, n_max=100, *, grid_points=DEFAULT_GRID,
     """Verify that the sequence represents 0 on |x| >= a (away from the origin).
 
     Measures the sequence's declared seq.off_origin on |x| in [a, a + reach]
-    for n = 1..n_max; OffOriginBound states how the verdict follows.
+    for n = 1..n_max; OffOriginBound states how the verdict follows. a must
+    be > 0 and n_max an integer >= 1.
     """
     a = float(a)
     if a <= 0.0:
         raise ValueError("check_zero_off_origin requires a > 0")
+    n_max = require_count(n_max, "n_max")
     half_pts = max(2, int(grid_points) // 2)
     xs_pos = np.linspace(a, a + reach, half_pts)
     xs = np.concatenate([-xs_pos[::-1], xs_pos])
-    ns = np.arange(1, int(n_max) + 1)
+    ns = np.arange(1, n_max + 1)
 
     off = seq.off_origin
     sup_errors = []

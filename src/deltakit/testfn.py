@@ -120,7 +120,7 @@ def smooth_step_down(gamma, delta):
 
 
 class TestFunction:
-    """Smooth function with compact support and finite-difference derivatives.
+    """Smooth function with compact support; derivative(f, x, k) differentiates it.
 
     Immutable after construction.
     """
@@ -137,9 +137,6 @@ class TestFunction:
 
     def __repr__(self):
         return f"TestFunction({self.label}, support=[{self.support.lo}, {self.support.hi}])"
-
-    def derivative(self, x, order=1):
-        return derivative(self, x, order)
 
     def shifted(self, x0):
         """Translate: g(x) = f(x - x0); support moves with it."""

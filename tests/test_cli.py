@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from deltakit.certify import certificate_names
+from deltakit.certify import certificate_names, run_certificate
 from deltakit.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -108,11 +108,14 @@ def test_certify_pass(capsys):
 
 # each would otherwise pass vacuously or die in a traceback with exit 1
 BAD_CERTIFY_PARAMS = {
-    "lemma4": ["0", "-5", "2.7", "nan"],
+    "lemma4": ["0", "-5", "2.7", "nan", "50,7"],
     "lemma6_lorentz": ["0", "100,0", "100,-0.5", "10,inf"],
-    "lemma6_theta": ["0", "-1", "100,0"],
+    "lemma6_theta": ["0", "-1", "100,0", "100,0.5,3"],
     "fubini": ["-1", "1,0,5"],
     "lemma5_rate": ["0", "1e-2,-1e-3"],
+    # values a certificate has no place for would be dropped silently
+    "si_tail": ["5"],
+    "eq23_identity": ["1"],
 }
 
 
@@ -122,6 +125,24 @@ def test_certify_bad_params_exit_2(name):
         with pytest.raises(SystemExit) as exc:
             main(["certify", name, f"--params={text}"])
         assert exc.value.code == 2, text
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "lemma4", "--grid", "7"],
+    ["figure", "--fig", "8", "--tol", "1e-3"],
+    ["pair", "--family", "fourier", "--params", "100,200,400", "--interval", "0,1"],
+])
+def test_flag_the_subcommand_does_not_read_exit_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_run_certificate_rejects_params_before_running():
+    with pytest.raises(ValueError):
+        run_certificate("lemma4", 0)
+    with pytest.raises(ValueError):
+        run_certificate("lemma6_theta", 100, 0.0)
 
 
 def test_certify_si_tail_and_identity(capsys):

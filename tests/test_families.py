@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from deltakit import (adaptive_quad, derivative, fourier_family, half_abs,
-                      half_step, limit_object, lorentz_delta, lorentz_delta_n,
-                      lorentz_family, lorentz_kink, lorentz_step, sinc_delta,
-                      sinc_kink, sinc_step)
+                      half_step, lorentz_delta, lorentz_delta_n, lorentz_family,
+                      lorentz_kink, lorentz_step, sinc_delta, sinc_kink,
+                      sinc_step)
 
 # oracle values (tests/_oracles.py): cos-kernel quadrature and QUADPACK Si
 SINC_DELTA_2_HALF = 0.5356970668023275
@@ -143,12 +143,8 @@ def test_primitives_anchored_at_zero():
 
 
 def test_limit_objects():
-    step = limit_object("step_theta")
-    assert step(0.0) == 0.0
-    assert step(1e-9) == 0.5
-    assert step(-1e-9) == -0.5
-    kink = limit_object("abs_half")
-    assert kink(-3.0) == 1.5
+    assert half_step(0.0) == 0.0
+    assert half_step(1e-9) == 0.5
+    assert half_step(-1e-9) == -0.5
+    assert half_abs(-3.0) == 1.5
     assert half_step(2.0) == 0.5
-    with pytest.raises(ValueError):
-        limit_object("unknown")

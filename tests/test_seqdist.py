@@ -138,13 +138,6 @@ def test_derivative_respects_equivalence():
     assert max(da.primitive_order, db.primitive_order) == a.primitive_order + 1
 
 
-def test_derivative_rejects_non_differentiable():
-    rough = FundamentalSeq(term=lambda n, x: np.abs(np.asarray(x, dtype=float)),
-                           primitive_order=0, differentiable_terms=False)
-    with pytest.raises(ValueError):
-        seq_derivative(rough)
-
-
 def test_pair_by_parts_delta_property():
     f = bump(-2.0, -1.0, 1.0, 2.0)
     value = pair_by_parts(sinc_delta_seq(), f)
@@ -203,3 +196,7 @@ def test_zero_off_origin_trivial_and_validation():
     assert check_zero_off_origin(zero_seq(), 0.5, n_max=5).verdict
     with pytest.raises(ValueError):
         check_zero_off_origin(zero_seq(), 0.0)
+    # a count below 1 has no last sup to judge
+    for n_max in (0, -3, 2.5):
+        with pytest.raises(ValueError):
+            check_zero_off_origin(zero_seq(), 0.5, n_max=n_max)
