@@ -25,7 +25,7 @@ print("  plateau values exact:", f(np.array([2.0, 2.5, 3.0])))
 print("  outside values exact zeros:", f(np.array([0.0, 0.999, 4.001, 7.0])))
 print("  ramp values:", np.round(f(np.array([1.5, 3.5])), 6))
 
-print("\nflat contact at the support edges (finite-difference derivatives):")
+print("\nflat contact at the support edges (exact Taylor-jet derivatives):")
 for order in (1, 2, 3):
     print(f"  order {order}: at 1.0 -> {derivative(f, 1.0, order):.3e}, "
           f"at 4.0 -> {derivative(f, 4.0, order):.3e}")

@@ -254,8 +254,10 @@ def main(argv=None):
     config = RunConfig(command=args.command, output_path=args.out, format=args.format)
 
     if args.command == "pair":
-        if args.tol <= 0:
-            parser.error("--tol must be positive")
+        if not (math.isfinite(args.tol) and args.tol > 0):
+            parser.error(f"--tol must be a finite positive number, got {args.tol!r}")
+        if not math.isfinite(args.shift):
+            parser.error(f"--shift must be a finite number, got {args.shift!r}")
         config.bump_knots = _parse_floats(args.bump, "bump", parser, expected=4)
         if not all(a < b for a, b in zip(config.bump_knots, config.bump_knots[1:])):
             parser.error("--bump knots must be strictly increasing")

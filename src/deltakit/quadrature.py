@@ -57,9 +57,13 @@ class QuadratureError(ArithmeticError):
 
 @dataclass(frozen=True)
 class QuadResult:
+    """value, its summed |K15 - G7| error estimate, the panel count, and
+    converged: whether that estimate met the requested tolerance."""
+
     value: float
     abs_error_estimate: float
     panels_used: int
+    converged: bool
 
 
 def _call_integrand(f, pts):
@@ -77,19 +81,32 @@ def _call_integrand(f, pts):
     return out.reshape(pts.shape)
 
 
+def _panel_nodes(lo, hi):
+    """Kronrod nodes of a batch of panels (one row each) and their half-widths."""
+    hw = 0.5 * (hi - lo)
+    return (0.5 * (lo + hi))[:, None] + hw[:, None] * NODES, hw
+
+
+def _panel_sums(fx, pts, hw):
+    """Kronrod-15 values and |K15 - G7| error estimates from node values fx."""
+    # row-wise reductions (not matmul): results are independent of batch shape.
+    # One temporary serves both weighted sums; fx is never written, since an
+    # integrand may return its argument pts.
+    weighted = fx * KRONROD_WEIGHTS
+    k15 = hw * weighted.sum(axis=1)
+    if not np.isfinite(k15).all():
+        bad = pts[~np.isfinite(fx)]
+        if bad.size:
+            raise QuadratureError(f"integrand returned a non-finite value near x={bad[0]!r}")
+    np.multiply(fx, GAUSS_WEIGHTS, out=weighted)
+    g7 = hw * weighted.sum(axis=1)
+    return k15, np.abs(k15 - g7)
+
+
 def _panel_rule(f, lo, hi):
     """Kronrod-15 values and |K15 - G7| error estimates for a batch of panels."""
-    mid = 0.5 * (lo + hi)
-    hw = 0.5 * (hi - lo)
-    pts = mid[:, None] + hw[:, None] * NODES[None, :]
-    fx = _call_integrand(f, pts)
-    if not np.isfinite(fx).all():
-        bad = pts[~np.isfinite(fx)]
-        raise QuadratureError(f"integrand returned a non-finite value near x={bad.ravel()[0]!r}")
-    # row-wise reductions (not matmul): results are independent of batch shape
-    k15 = hw * (fx * KRONROD_WEIGHTS).sum(axis=1)
-    g7 = hw * (fx * GAUSS_WEIGHTS).sum(axis=1)
-    return k15, np.abs(k15 - g7)
+    pts, hw = _panel_nodes(lo, hi)
+    return _panel_sums(_call_integrand(f, pts), pts, hw)
 
 
 def _initial_edges(edges, max_panel):
@@ -121,7 +138,7 @@ def adaptive_quad(f, a, b, *, tol=1e-10, max_panel=None, breakpoints=(),
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("integration endpoints must be finite")
     if a == b:
-        return QuadResult(0.0, 0.0, 1)
+        return QuadResult(0.0, 0.0, 1, True)
     sign = 1.0
     if b < a:
         a, b = b, a
@@ -157,34 +174,39 @@ def adaptive_quad(f, a, b, *, tol=1e-10, max_panel=None, breakpoints=(),
     order = np.argsort(lo, kind="stable")
     value = math.fsum(vals[order].tolist())
     err = math.fsum(errs[order].tolist())
-    return QuadResult(sign * value, err, int(lo.size))
+    return QuadResult(sign * value, err, int(lo.size), err <= tol)
 
 
-def anchored_primitive_values(f, xs, *, tol=1e-10, max_panel=None):
+def anchored_primitive_values(f, xs, *, tol=1e-10, max_panel=None, moments=None):
     """Integral of f from 0 to each x in xs, on shared knots.
 
-    Builds the sorted knot set {0} ∪ xs, integrates each inter-knot segment
-    with the panel rule (refining segments whose error estimate is out of
-    budget), and accumulates signed cumulative sums away from the anchor 0.
+    Builds the sorted knot set {0} ∪ xs, evaluates f once on the panel rule's
+    nodes of every inter-knot segment, integrates segment by segment
+    (refining segments whose error estimate is out of budget), and
+    accumulates signed cumulative sums away from the anchor 0. With
+    moments=m it returns instead the integrals of t^j f(t) from 0 to each x
+    for j = 0..m-1, stacked on a new first axis, from the same evaluation.
     """
+    count = 1 if moments is None else int(moments)
     xs_arr = np.asarray(xs, dtype=float)
+    out = np.zeros((count,) + xs_arr.shape)
     knots = np.unique(np.concatenate([xs_arr.ravel(), [0.0]]))
     if knots.size == 1:
-        return np.zeros_like(xs_arr)
+        return out[0] if moments is None else out
     knots_fine = _initial_edges(knots, max_panel)
     seg_lo, seg_hi = knots_fine[:-1], knots_fine[1:]
-
-    vals, errs = _panel_rule(f, seg_lo, seg_hi)
     total_len = knots_fine[-1] - knots_fine[0]
     budget = tol * np.maximum((seg_hi - seg_lo) / total_len, 1e-3 / seg_lo.size)
-    bad = np.flatnonzero(errs > budget)
-    for i in bad:
-        res = adaptive_quad(f, seg_lo[i], seg_hi[i], tol=float(budget[i]))
-        vals[i] = res.value
-        errs[i] = res.abs_error_estimate
-
-    cum = np.concatenate([[0.0], np.cumsum(vals)])
-    anchor = cum[np.searchsorted(knots_fine, 0.0)]
-    primitive_at_knot = cum - anchor
+    anchor = np.searchsorted(knots_fine, 0.0)
     idx = np.searchsorted(knots_fine, xs_arr.ravel())
-    return primitive_at_knot[idx].reshape(xs_arr.shape)
+
+    pts, hw = _panel_nodes(seg_lo, seg_hi)
+    fx = _call_integrand(f, pts)
+    for j in range(count):
+        vals, errs = _panel_sums(fx * pts ** j if j else fx, pts, hw)
+        moment = (lambda t, j=j: t ** j * f(t)) if j else f
+        for i in np.flatnonzero(errs > budget):
+            vals[i] = adaptive_quad(moment, seg_lo[i], seg_hi[i], tol=float(budget[i])).value
+        cum = np.concatenate([[0.0], np.cumsum(vals)])
+        out[j] = (cum - cum[anchor])[idx].reshape(xs_arr.shape)
+    return out[0] if moments is None else out

@@ -31,10 +31,12 @@ def sinc(t):
     """sin(t)/t with a 4-term Taylor series near the removable singularity."""
     arr, scalar = as_float_array(t)
     small = np.abs(arr) < _SERIES_CUTOFF
-    safe = np.where(small, 1.0, arr)
-    t2 = arr * arr
-    series = 1.0 - t2 / 6.0 + t2 * t2 / 120.0 - t2 * t2 * t2 / 5040.0
-    out = np.where(small, series, np.sin(safe) / safe)
+    # one buffer: sin(t)/t everywhere but the small subset, which gets the series
+    out = np.sin(arr, out=np.empty_like(arr))
+    np.divide(out, arr, out=out, where=~small)
+    small_t = arr[small]
+    t2 = small_t * small_t
+    out[small] = 1.0 - t2 / 6.0 + t2 * t2 / 120.0 - t2 * t2 * t2 / 5040.0
     return maybe_scalar(out, scalar)
 
 
@@ -172,4 +174,5 @@ def fubini_square(R, order="x_first", *, tol=1e-9):
 
         res = adaptive_quad(outer_integrand, 0.0, R, tol=outer_tol, max_panel=math.pi)
 
-    return QuadResult(res.value, res.abs_error_estimate + R * inner_tol, res.panels_used)
+    err = res.abs_error_estimate + R * inner_tol
+    return QuadResult(res.value, err, res.panels_used, err <= tol)

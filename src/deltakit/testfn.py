@@ -1,13 +1,18 @@
 """Smooth compactly supported test functions built from the exp(-1/x) mollifier.
 
 Construction: one-sided mollifier -> smooth unit up/down steps -> bump that is
-exactly 0 outside [alpha, delta] and exactly 1 on [beta, gamma]. Derivatives
-are finite differences (central stencils + one Richardson level); the closed
-forms are never differentiated symbolically.
+exactly 0 outside [alpha, delta] and exactly 1 on [beta, gamma]. Each of
+them evaluates its truncated Taylor series (a "jet") by univariate Taylor
+arithmetic: the series of -1/(t + s) gives the mollifier's jet through the
+exp recurrence, and the step quotient and the bump product follow the
+quotient and product rules (Griewank & Walther, Evaluating Derivatives,
+ch. 13). derivative(f, x, k) reads f^(k)(x) off the jet, exact to rounding;
+other callables get central finite differences.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +37,8 @@ __all__ = [
 # distance >= 0.01 from the knots.
 MOLLIFIER_KNEE = 1.0 / 745.0
 
-# Highest derivative order the finite-difference stencils provide.
+# Highest derivative order: the truncation order of the jets and the highest
+# finite-difference stencil.
 MAX_DERIVATIVE_ORDER = 4
 
 
@@ -68,13 +74,43 @@ class Interval:
         return Interval(float(lo), float(hi))
 
 
+def _jet_mul(a, b):
+    """Taylor coefficients of a product, truncated at the order of a and b."""
+    return [sum((a[i] * b[k - i] for i in range(1, k + 1)), a[0] * b[k])
+            for k in range(len(a))]
+
+
+def _jet_div(a, b):
+    """Taylor coefficients of a / b, for b[0] != 0."""
+    q = []
+    for k in range(len(a)):
+        acc = a[k]
+        for i in range(k):
+            acc = acc - q[i] * b[k - i]
+        q.append(acc / b[0])
+    return q
+
+
+def _mollifier_jet(t, order, sign=1.0):
+    """Taylor coefficients in s of exp(-1/(t + sign*s)) up to s^order.
+
+    -1/(t + sign*s) has coefficients u_0 = -1/t and u_k = u_{k-1} * (-sign/t);
+    the exp recurrence k e_k = sum_j j u_j e_{k-j} then gives the jet. Every
+    coefficient is exactly 0 at or below the underflow knee.
+    """
+    pos = t > MOLLIFIER_KNEE
+    u = [-1.0 / np.where(pos, t, 1.0)]
+    e = [np.where(pos, np.exp(u[0]), 0.0)]
+    for k in range(1, order + 1):
+        u.append(u[-1] * (sign * u[0]))
+        e.append(sum((j * u[j] * e[k - j] for j in range(2, k + 1)), u[1] * e[k - 1]) / k)
+    return e
+
+
 def mollifier(x):
     """exp(-1/x) for x > 0, exactly 0 for x <= 0 (and below the underflow knee)."""
     arr, scalar = as_float_array(x)
-    pos = arr > MOLLIFIER_KNEE
-    safe = np.where(pos, arr, 1.0)
-    out = np.where(pos, np.exp(-1.0 / safe), 0.0)
-    return maybe_scalar(out, scalar)
+    return maybe_scalar(_mollifier_jet(arr, 0)[0], scalar)
 
 
 class SmoothStep:
@@ -90,19 +126,33 @@ class SmoothStep:
 
     def __call__(self, x):
         arr, scalar = as_float_array(x)
+        return maybe_scalar(self.jet(arr, 0)[0], scalar)
+
+    def jet(self, x, order):
+        """Taylor coefficients f^(k)(x)/k! for k = 0..order, as a list of arrays."""
+        arr = np.asarray(x, dtype=float)
         lo, hi = self.transition.lo, self.transition.hi
-        rising_part = mollifier(arr - lo)
-        falling_part = mollifier(hi - arr)
-        den = rising_part + falling_part
-        num = falling_part if self.falling else rising_part
-        # den == 0 only when both mollifiers are in the underflow knee; fall
-        # back to the sharp step through the midpoint.
-        safe_den = np.where(den > 0.0, den, 1.0)
-        quotient = np.where(den > 0.0, num / safe_den, 0.0)
-        past_mid = arr >= 0.5 * (lo + hi)
-        sharp = np.where(past_mid ^ self.falling, 1.0, 0.0)
-        out = np.where(den > 0.0, quotient, sharp)
-        return maybe_scalar(out, scalar)
+        rising = _mollifier_jet(arr - lo, order)
+        falling = _mollifier_jet(hi - arr, order, sign=-1.0)
+        den = [r + f for r, f in zip(rising, falling)]
+        # den[0] == 0 only when both mollifiers are in the underflow knee; the
+        # value falls back to the sharp step through the midpoint, and the
+        # higher coefficients there are 0 like those of the sharp step.
+        ok = den[0] > 0.0
+        den[0] = np.where(ok, den[0], 1.0)
+        num = falling if self.falling else rising
+        sharp = (arr >= 0.5 * (lo + hi)) ^ self.falling
+        value = np.where(ok, num[0] / den[0], sharp)
+        if order == 0:
+            return [value]
+        # The rising and falling quotients sum to 1, so past order 0 their
+        # coefficients differ only in sign. Dividing the smaller part avoids
+        # the cancellation the quotient rule suffers where the step is near 0
+        # or 1.
+        rising_smaller = rising[0] <= falling[0]
+        q = _jet_div([np.where(rising_smaller, r, f) for r, f in zip(rising, falling)], den)
+        sign = np.where(rising_smaller != self.falling, 1.0, -1.0)
+        return [value] + [sign * c for c in q[1:]]
 
 
 def smooth_step_up(alpha, beta):
@@ -122,18 +172,27 @@ def smooth_step_down(gamma, delta):
 class TestFunction:
     """Smooth function with compact support; derivative(f, x, k) differentiates it.
 
-    Immutable after construction.
+    Built from exactly one of fn, its values, or jet(x, order), the list of its
+    Taylor coefficients f^(k)(x)/k! for k = 0..order; with a jet the value is
+    the order-0 coefficient and derivatives are exact to rounding. Immutable
+    after construction.
     """
 
     __test__ = False  # not a pytest collection target
 
-    def __init__(self, fn, support, *, label="f"):
+    def __init__(self, fn, support, *, label="f", jet=None):
+        if (fn is None) == (jet is None):
+            raise ValueError("TestFunction takes exactly one of fn and jet")
         self._fn = fn
+        self.jet = jet
         self.support = Interval.coerce(support)
         self.label = label
 
     def __call__(self, x):
-        return self._fn(x)
+        if self.jet is None:
+            return self._fn(x)
+        arr, scalar = as_float_array(x)
+        return maybe_scalar(self.jet(arr, 0)[0], scalar)
 
     def __repr__(self):
         return f"TestFunction({self.label}, support=[{self.support.lo}, {self.support.hi}])"
@@ -141,17 +200,23 @@ class TestFunction:
     def shifted(self, x0):
         """Translate: g(x) = f(x - x0); support moves with it."""
         x0 = float(x0)
-        fn = self._fn
-        return TestFunction(lambda x: fn(np.asarray(x, dtype=float) - x0),
-                            self.support.shifted(x0),
-                            label=f"{self.label} shifted by {x0:g}")
+        fn, jet = self._fn, self.jet
+        support, label = self.support.shifted(x0), f"{self.label} shifted by {x0:g}"
+        if jet is None:
+            return TestFunction(lambda x: fn(np.asarray(x, dtype=float) - x0), support,
+                                label=label)
+        return TestFunction(None, support, label=label,
+                            jet=lambda x, order: jet(np.asarray(x, dtype=float) - x0, order))
 
     def scaled(self, c):
         """Scale values: g(x) = c * f(x); support unchanged."""
         c = float(c)
-        fn = self._fn
-        return TestFunction(lambda x: c * fn(x), self.support,
-                            label=f"{c:g} * {self.label}")
+        fn, jet = self._fn, self.jet
+        label = f"{c:g} * {self.label}"
+        if jet is None:
+            return TestFunction(lambda x: c * fn(x), self.support, label=label)
+        return TestFunction(None, self.support, label=label,
+                            jet=lambda x, order: [c * v for v in jet(x, order)])
 
 
 def bump(alpha, beta, gamma, delta):
@@ -165,8 +230,9 @@ def bump(alpha, beta, gamma, delta):
         raise ValueError(f"bump requires alpha < beta < gamma < delta, got {knots}")
     up = smooth_step_up(alpha, beta)
     down = smooth_step_down(gamma, delta)
-    return TestFunction(lambda x: up(x) * down(x), Interval(alpha, delta),
-                        label=f"bump({alpha:g},{beta:g},{gamma:g},{delta:g})")
+    return TestFunction(None, Interval(alpha, delta),
+                        label=f"bump({alpha:g},{beta:g},{gamma:g},{delta:g})",
+                        jet=lambda x, order: _jet_mul(up.jet(x, order), down.jet(x, order)))
 
 
 def _stencil(f, x, h, order):
@@ -182,15 +248,21 @@ def _stencil(f, x, h, order):
 
 
 def derivative(f, x, order=1):
-    """Central finite-difference derivative with one Richardson level, O(h^4).
+    """The order-th derivative of f at x, for orders 1..MAX_DERIVATIVE_ORDER.
 
-    Orders 1..MAX_DERIVATIVE_ORDER. Step: h = eps^(1/(order+2)) * max(1, |x|),
-    the standard truncation/roundoff tradeoff for each stencil.
+    Read off f.jet, exact to rounding, when f has one (bumps, smooth steps and
+    their shifts and scalings). Any other callable gets a central finite
+    difference with one Richardson level, O(h^4), with step
+    h = eps^(1/(order+2)) * max(1, |x|), the standard truncation/roundoff
+    tradeoff for each stencil.
     """
     order = int(order)
     if not 1 <= order <= MAX_DERIVATIVE_ORDER:
         raise ValueError(f"derivative order must be in [1, {MAX_DERIVATIVE_ORDER}], got {order}")
     arr, scalar = as_float_array(x)
+    jet = getattr(f, "jet", None)
+    if jet is not None:
+        return maybe_scalar(math.factorial(order) * jet(arr, order)[order], scalar)
     h = EPS ** (1.0 / (order + 2)) * np.maximum(1.0, np.abs(arr))
     coarse = _stencil(f, arr, h, order)
     fine = _stencil(f, arr, 0.5 * h, order)

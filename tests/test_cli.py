@@ -86,6 +86,11 @@ def test_pair_config_errors_exit_2(capsys):
         main(["pair", "--family", "fourier", "--params", "100,200,400",
               "--bump", "2,1,3,4"])
     assert exc.value.code == 2
+    # a tolerance that no error meets, and shifts that are not a translation
+    for flag, value in (("--tol", "nan"), ("--shift", "inf"), ("--shift", "nan")):
+        with pytest.raises(SystemExit) as exc:
+            main(["pair", "--family", "fourier", "--params", "100,200,400", flag, value])
+        assert exc.value.code == 2
 
 
 def test_pair_non_monotone_params_exit_2():

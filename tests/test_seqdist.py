@@ -144,6 +144,13 @@ def test_pair_by_parts_delta_property():
     assert abs(value - 1.0) <= 1e-6
 
 
+def test_pair_by_parts_exact_to_rounding():
+    # exact jet derivatives let each by-parts quadrature meet its tolerance
+    f = bump(-2.0, -1.0, 1.0, 2.0)
+    for seq in (sinc_delta_seq(), lorentz_delta_seq()):
+        assert abs(pair_by_parts(seq, f) - 1.0) <= 1e-12
+
+
 def test_pair_by_parts_zero_and_far_support():
     f = bump(-2.0, -1.0, 1.0, 2.0)
     assert pair_by_parts(zero_seq(), f) == 0.0

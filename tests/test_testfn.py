@@ -1,15 +1,17 @@
-"""Bump construction: mollifier, smooth steps, supports, finite differences."""
+"""Bump construction: mollifier, smooth steps, supports, Taylor-jet derivatives."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from deltakit import (Interval, bump, derivative, difference_quotient,
-                      mollifier, smooth_step_down, smooth_step_up)
+from deltakit import (Interval, TestFunction, bump, derivative,
+                      difference_quotient, mollifier, smooth_step_down,
+                      smooth_step_up)
 
 # exp(-1), cross-checked against mpmath.exp(-1) to 30 digits
 EXP_MINUS_ONE = 0.36787944117144233
@@ -170,3 +172,100 @@ def test_steps_stay_in_unit_interval(x):
     assert 0.0 <= G(x) <= 1.0
     # complementary construction shares the denominator
     assert_allclose(F(x) + G(x), 1.0, rtol=0, atol=1e-15)
+
+
+# -- Taylor jets, against mpmath written independently of deltakit.testfn --
+
+def _mp_step(lo, hi, falling):
+    def m(t):
+        return mpmath.exp(-1 / t) if t > 0 else mpmath.mpf(0)
+
+    def step(x):
+        r, f = m(x - lo), m(hi - x)
+        return (f if falling else r) / (r + f)
+
+    return step
+
+
+def _mp_bump(a, b, c, d):
+    up, down = _mp_step(a, b, False), _mp_step(c, d, True)
+    return lambda x: up(x) * down(x)
+
+
+_MP_BUMP = _mp_bump(-2, -1, 1, 2)
+JET_CASES = {
+    "bump": (lambda: bump(-2.0, -1.0, 1.0, 2.0), _MP_BUMP, [(-2.0, -1.0), (1.0, 2.0)]),
+    "shifted": (lambda: bump(-2.0, -1.0, 1.0, 2.0).shifted(0.375),
+                lambda x: _MP_BUMP(x - mpmath.mpf("0.375")), [(-1.625, -0.625), (1.375, 2.375)]),
+    "scaled": (lambda: bump(-2.0, -1.0, 1.0, 2.0).scaled(-1.5),
+               lambda x: -1.5 * _MP_BUMP(x), [(-2.0, -1.0), (1.0, 2.0)]),
+    "rising": (lambda: smooth_step_up(1.0, 2.0), _mp_step(1, 2, False), [(1.0, 2.0)]),
+    "falling": (lambda: smooth_step_down(3.0, 4.0), _mp_step(3, 4, True), [(3.0, 4.0)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JET_CASES))
+def test_jet_derivatives_match_mpmath(name):
+    make, oracle, transitions = JET_CASES[name]
+    f = make()
+    mpmath.mp.dps = 40
+    for lo, hi in transitions:
+        # inside each transition, away from the midpoint (where even orders vanish)
+        for frac in (0.05, 0.3, 0.45, 0.7, 0.95):
+            x = lo + frac * (hi - lo)
+            for order in range(1, 5):
+                ref = float(mpmath.diff(oracle, mpmath.mpf(x), order))
+                assert_allclose(derivative(f, x, order), ref, rtol=1e-12, atol=0,
+                                err_msg=f"{name} order {order} at x={x}")
+
+
+def test_jet_derivatives_exact_zero_off_transitions():
+    f = bump(-2.0, -1.0, 1.0, 2.0)
+    plateau = np.linspace(-1.0, 1.0, 41)
+    knots = np.array([-2.0, -1.0, 1.0, 2.0])
+    outside = np.array([-7.0, -2.5, -2.0005, 2.0005, 3.0])
+    for g, x0 in ((f, 0.0), (f.shifted(0.5), 0.5), (f.scaled(3.0), 0.0)):
+        for order in range(1, 5):
+            for xs in (plateau, knots, outside):
+                assert np.all(derivative(g, xs + x0, order) == 0.0)
+
+
+def test_order_zero_jet_is_the_value_bit_for_bit():
+    # the value written out with numpy, as the closed form exp(-1/t) quotients
+    def m(t):
+        pos = t > 1.0 / 745.0
+        return np.where(pos, np.exp(-1.0 / np.where(pos, t, 1.0)), 0.0)
+
+    xs = np.linspace(-3.0, 3.0, 100_001)
+    up = m(xs + 2.0) / (m(xs + 2.0) + m(-1.0 - xs))
+    down = m(2.0 - xs) / (m(xs - 1.0) + m(2.0 - xs))
+    f = bump(-2.0, -1.0, 1.0, 2.0)
+    assert f(xs).tobytes() == (up * down).tobytes()
+    assert f.jet(xs, 0)[0].tobytes() == f(xs).tobytes()
+    assert f.jet(xs, 4)[0].tobytes() == f(xs).tobytes()
+    assert f(0.5) == 1.0 and isinstance(f(0.5), float)
+
+
+def test_plain_callable_uses_finite_differences():
+    calls = []
+
+    def sine(x):
+        calls.append(1)
+        return np.sin(x)
+
+    # one Richardson level over the central 2-point stencil: 4 evaluations
+    assert abs(derivative(sine, 0.7, 1) - math.cos(0.7)) <= 1e-10
+    assert len(calls) == 4
+    # a TestFunction built from values alone has no jet and differentiates the same way
+    f = bump(-2.0, -1.0, 1.0, 2.0)
+    g = TestFunction(lambda x: f(x), f.support)
+    assert g.jet is None
+    fd, exact = derivative(g, -1.3, 2), derivative(f, -1.3, 2)
+    assert fd != exact and abs(fd - exact) <= 1e-6 * abs(exact)
+
+
+def test_test_function_takes_values_or_a_jet():
+    with pytest.raises(ValueError):
+        TestFunction(None, (0.0, 1.0))
+    with pytest.raises(ValueError):
+        TestFunction(np.sin, (0.0, 1.0), jet=lambda x, order: [np.sin(x)])
