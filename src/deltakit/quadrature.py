@@ -177,22 +177,20 @@ def adaptive_quad(f, a, b, *, tol=1e-10, max_panel=None, breakpoints=(),
     return QuadResult(sign * value, err, int(lo.size), err <= tol)
 
 
-def anchored_primitive_values(f, xs, *, tol=1e-10, max_panel=None, moments=None):
-    """Integral of f from 0 to each x in xs, on shared knots.
+def anchored_primitive_values(f, xs, *, tol=1e-10, max_panel=None, moments=1):
+    """Integrals of t^j f(t) from 0 to each x in xs, j = 0..moments-1, on shared knots.
 
     Builds the sorted knot set {0} ∪ xs, evaluates f once on the panel rule's
-    nodes of every inter-knot segment, integrates segment by segment
-    (refining segments whose error estimate is out of budget), and
-    accumulates signed cumulative sums away from the anchor 0. With
-    moments=m it returns instead the integrals of t^j f(t) from 0 to each x
-    for j = 0..m-1, stacked on a new first axis, from the same evaluation.
+    nodes of every inter-knot segment, integrates each moment segment by
+    segment (refining segments whose error estimate is out of budget), and
+    accumulates signed cumulative sums away from the anchor 0. Returns an
+    array of shape (moments,) + xs.shape; row 0 is the primitive of f.
     """
-    count = 1 if moments is None else int(moments)
     xs_arr = np.asarray(xs, dtype=float)
-    out = np.zeros((count,) + xs_arr.shape)
+    out = np.zeros((int(moments),) + xs_arr.shape)
     knots = np.unique(np.concatenate([xs_arr.ravel(), [0.0]]))
     if knots.size == 1:
-        return out[0] if moments is None else out
+        return out
     knots_fine = _initial_edges(knots, max_panel)
     seg_lo, seg_hi = knots_fine[:-1], knots_fine[1:]
     total_len = knots_fine[-1] - knots_fine[0]
@@ -202,11 +200,11 @@ def anchored_primitive_values(f, xs, *, tol=1e-10, max_panel=None, moments=None)
 
     pts, hw = _panel_nodes(seg_lo, seg_hi)
     fx = _call_integrand(f, pts)
-    for j in range(count):
+    for j in range(out.shape[0]):
         vals, errs = _panel_sums(fx * pts ** j if j else fx, pts, hw)
         moment = (lambda t, j=j: t ** j * f(t)) if j else f
         for i in np.flatnonzero(errs > budget):
             vals[i] = adaptive_quad(moment, seg_lo[i], seg_hi[i], tol=float(budget[i])).value
         cum = np.concatenate([[0.0], np.cumsum(vals)])
         out[j] = (cum - cum[anchor])[idx].reshape(xs_arr.shape)
-    return out[0] if moments is None else out
+    return out
