@@ -7,8 +7,7 @@ convergence bounds.
 """
 
 from .certify import CertReport, certificate_names, run_certificate
-from .families import (RegFamily, fourier_family, half_abs, half_step,
-                       lorentz_delta, lorentz_delta_n, lorentz_family,
+from .families import (half_abs, half_step, lorentz_delta, lorentz_delta_n,
                        lorentz_kink, lorentz_step, sinc_delta, sinc_kink,
                        sinc_step)
 from .pairing import (PairingResult, RateFit, extrapolate_limit, pair,
@@ -28,8 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CertReport", "certificate_names", "run_certificate",
-    "RegFamily", "fourier_family", "half_abs", "half_step",
-    "lorentz_delta", "lorentz_delta_n", "lorentz_family",
+    "half_abs", "half_step", "lorentz_delta", "lorentz_delta_n",
     "lorentz_kink", "lorentz_step", "sinc_delta", "sinc_kink", "sinc_step",
     "PairingResult", "RateFit", "extrapolate_limit", "pair", "pair_lorentz",
     "pair_sinc", "pair_split", "sine_decay_fit",

@@ -18,13 +18,11 @@ import numpy as np
 from ._util import require_count, require_positive
 from .families import half_abs, lorentz_delta_n, sinc_kink, sinc_step
 from .pairing import pair_lorentz
-from .seqdist import check_zero_off_origin, lorentz_delta_seq
+from .seqdist import DEFAULT_GRID, check_zero_off_origin, lorentz_delta_seq
 from .special import si, sinc_sq_integral, fubini_square
 from .testfn import bump, difference_quotient
 
 __all__ = ["CertReport", "certificate_names", "run_certificate"]
-
-_GRID = 2001
 
 
 @dataclass(frozen=True)
@@ -39,7 +37,7 @@ def _kink_uniform_bound(n_max=200):
     """Smoothed kink vs |x|/2: sup error <= 2/(n pi) + slack for every n."""
     n_max = require_count(n_max, "n_max")
     interval, slack = (-5.0, 5.0), 1e-9
-    xs = np.linspace(interval[0], interval[1], _GRID)
+    xs = np.linspace(interval[0], interval[1], DEFAULT_GRID)
     target = half_abs(xs)
     rows = []
     worst_margin = -math.inf
@@ -52,7 +50,7 @@ def _kink_uniform_bound(n_max=200):
     return CertReport(
         "lemma4", passed,
         f"max over n<={n_max} of (sup error - bound) = {worst_margin:.3e}",
-        {"n_max": n_max, "interval": list(interval), "grid": _GRID,
+        {"n_max": n_max, "interval": list(interval), "grid": DEFAULT_GRID,
          "worst_margin": worst_margin,
          "samples": [{"n": n, "sup_error": s, "bound": b} for n, s, b in rows[:: max(1, len(rows) // 10)]]})
 
@@ -70,7 +68,7 @@ def _lorentz_rate_majorant(*eps):
     f0 = float(f(0.0))
     M = max(abs(f.support.lo), abs(f.support.hi))
     g = difference_quotient(f)
-    xs = np.linspace(-M, M, _GRID)
+    xs = np.linspace(-M, M, DEFAULT_GRID)
     S = float(np.max(np.abs(g(xs))))
     rows = []
     ok = True
@@ -101,7 +99,7 @@ def _zero_off_origin_lorentz(n_max=1000, a=0.5):
 def _zero_off_origin_step(n_max=1000, a=1.0):
     """|step_n(x) - sign(x)/2| <= 2/(pi n a) for |x| >= a."""
     n_max, a = require_count(n_max, "n_max"), require_positive(a, "a")
-    xs_pos = np.linspace(a, a + 5.0, _GRID // 2)
+    xs_pos = np.linspace(a, a + 5.0, DEFAULT_GRID // 2)
     rows_ok = True
     worst = -math.inf
     for n in range(1, n_max + 1):

@@ -14,9 +14,6 @@ even, all anchored at 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from ._util import as_float_array, maybe_scalar, require_positive
@@ -34,9 +31,6 @@ __all__ = [
     "lorentz_kink",
     "half_step",
     "half_abs",
-    "RegFamily",
-    "fourier_family",
-    "lorentz_family",
 ]
 
 _PI = np.pi
@@ -130,28 +124,3 @@ def half_abs(x):
     """Pointwise (and uniform) limit of the kinks: |x|/2."""
     arr, scalar = as_float_array(x)
     return maybe_scalar(0.5 * np.abs(arr), scalar)
-
-
-@dataclass(frozen=True)
-class RegFamily:
-    """A one-parameter regularized family with its first two anchored primitives."""
-
-    kind: str
-    eval: Callable
-    primitive1: Callable
-    primitive2: Callable
-
-
-def fourier_family():
-    """Truncated-spectrum family, indexed by the continuous cutoff r > 0."""
-    return RegFamily("fourier_kernel", sinc_delta, sinc_step, sinc_kink)
-
-
-def lorentz_family():
-    """Lorentz family, indexed by the width eps > 0 (sequence view: eps = 1/n)."""
-    return RegFamily(
-        "lorentz",
-        lorentz_delta,
-        lambda eps, x: lorentz_step(1.0 / require_positive(eps, "eps"), x),
-        lambda eps, x: lorentz_kink(1.0 / require_positive(eps, "eps"), x),
-    )

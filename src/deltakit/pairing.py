@@ -15,7 +15,7 @@ import numpy as np
 
 from ._util import require_positive
 from .families import lorentz_delta, sinc_delta
-from .quadrature import adaptive_quad
+from .quadrature import adaptive_quad, half_period_cap
 from .special import si
 from .testfn import Interval, derivative, difference_quotient
 
@@ -29,6 +29,10 @@ __all__ = [
     "sine_decay_fit",
     "extrapolate_limit",
 ]
+
+# Absolute tolerance of the sinc pairings and of the sine-decay samples.
+PAIR_TOL = 1e-10
+SINE_DECAY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -62,15 +66,14 @@ def pair(phi, f, *, tol=1e-10, max_panel=None, breakpoints=()):
     return PairingResult(res.value, res.abs_error_estimate, None)
 
 
-def pair_sinc(r, f, *, tol=1e-10):
+def pair_sinc(r, f):
     """Pair the truncated-spectrum kernel against f, panels <= pi/r wide."""
     r = require_positive(r, "r")
-    res = pair(lambda x: sinc_delta(r, x), f, tol=tol,
-               max_panel=min(0.5, math.pi / r))
+    res = pair(lambda x: sinc_delta(r, x), f, tol=PAIR_TOL, max_panel=half_period_cap(r))
     return PairingResult(res.value, res.abs_error_estimate, r)
 
 
-def pair_split(r, f, *, tol=1e-10):
+def pair_split(r, f):
     """Split the sinc pairing into its two algebraic pieces.
 
     term1 pairs sin(r x) against the continuous difference quotient of f over
@@ -83,7 +86,7 @@ def pair_split(r, f, *, tol=1e-10):
     M = max(abs(support.lo), abs(support.hi))
     g = difference_quotient(f)
     quad = adaptive_quad(lambda x: g(x) * np.sin(r * x), -M, M,
-                         tol=tol, max_panel=min(0.5, math.pi / r))
+                         tol=PAIR_TOL, max_panel=half_period_cap(r))
     term1 = quad.value / math.pi
     term2 = 2.0 * float(f(0.0)) * si(r * M) / math.pi
     return term1, term2
@@ -104,7 +107,7 @@ def pair_lorentz(eps, f, *, tol=1e-10):
     return PairingResult(res.value, res.abs_error_estimate, eps)
 
 
-def sine_decay_fit(g, interval, r_list, *, tol=1e-12):
+def sine_decay_fit(g, interval, r_list):
     """Measure I(r) = integral of g(x) sin(r x) and fit its decay exponent.
 
     For continuously differentiable g the integration-by-parts constant
@@ -120,7 +123,7 @@ def sine_decay_fit(g, interval, r_list, *, tol=1e-12):
     samples = []
     for r in rs:
         res = adaptive_quad(lambda x: np.asarray(g(x), dtype=float) * np.sin(r * x),
-                            iv.lo, iv.hi, tol=tol, max_panel=min(0.5, math.pi / r))
+                            iv.lo, iv.hi, tol=SINE_DECAY_TOL, max_panel=half_period_cap(r))
         samples.append((r, res.value))
 
     gprime_l1 = adaptive_quad(lambda x: np.abs(derivative(g, x, 1)),

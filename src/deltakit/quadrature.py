@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["QuadResult", "QuadratureError", "adaptive_quad", "anchored_primitive_values"]
+__all__ = ["QuadResult", "QuadratureError", "adaptive_quad", "anchored_primitive_values",
+           "half_period_cap"]
 
 # 15-point Kronrod abscissae/weights with the embedded 7-point Gauss rule
 # (classic QUADPACK dqk15 constants).
@@ -49,6 +50,9 @@ GAUSS_WEIGHTS = np.zeros(15)
 GAUSS_WEIGHTS[1:14:2] = np.concatenate([_WG_HALF, [_WG_CENTER], _WG_HALF[::-1]])
 
 _EPS = float(np.finfo(float).eps)
+
+# Bisection rounds after which adaptive_quad stops refining.
+MAX_ROUNDS = 64
 
 
 class QuadratureError(ArithmeticError):
@@ -123,8 +127,14 @@ def _initial_edges(edges, max_panel):
     return np.concatenate((refined, edges[-1:]))
 
 
+def half_period_cap(r):
+    """Initial panel width for an integrand oscillating like sin(r x): at
+    most half its period pi/r, and never wider than 0.5."""
+    return min(0.5, math.pi / r)
+
+
 def adaptive_quad(f, a, b, *, tol=1e-10, max_panel=None, breakpoints=(),
-                  max_panels=200_000, max_rounds=64):
+                  max_panels=200_000):
     """Integrate f over [a, b] adaptively.
 
     max_panel caps the initial panel width (half-period capping for
@@ -150,7 +160,7 @@ def adaptive_quad(f, a, b, *, tol=1e-10, max_panel=None, breakpoints=(),
     lo, hi = edges[:-1], edges[1:]
     vals, errs = _panel_rule(f, lo, hi)
 
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         total_err = float(errs.sum())
         if total_err <= tol or lo.size >= max_panels:
             break

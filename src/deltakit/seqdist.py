@@ -3,8 +3,8 @@
 A FundamentalSeq holds a sequence of continuous terms together with its
 anchored primitive tower: primitive(0) is the term itself, primitive(j) is
 integrated from 0, and primitive_order is the level k at which the primitives
-converge almost uniformly. Checks run on uniform grids (2001 points by
-default) over finitely many intervals; "almost uniform" is only ever probed
+converge almost uniformly. Checks run on uniform grids of DEFAULT_GRID = 2001
+points over finitely many intervals; "almost uniform" is only ever probed
 on the intervals supplied, which is the unavoidable finite truncation.
 """
 
@@ -16,12 +16,12 @@ from typing import Callable
 
 import numpy as np
 
-from ._util import require_count
+from ._util import require_count, require_positive
 from .families import (half_abs, half_step, lorentz_delta_n,
                        lorentz_delta_prime, lorentz_kink, lorentz_step,
                        sinc_delta, sinc_delta_prime, sinc_kink, sinc_step)
 from .pairing import extrapolate_limit
-from .quadrature import adaptive_quad, anchored_primitive_values
+from .quadrature import adaptive_quad, anchored_primitive_values, half_period_cap
 from .testfn import MAX_DERIVATIVE_ORDER, Interval, derivative
 
 __all__ = [
@@ -43,12 +43,19 @@ __all__ = [
 
 DEFAULT_GRID = 2001
 LIFT_TOL = 1e-10
+# check_zero_off_origin probes |x| in [a, a + OFF_ORIGIN_REACH]; a sequence
+# without a bound must end below OFF_ORIGIN_TOL there.
+OFF_ORIGIN_REACH = 5.0
+OFF_ORIGIN_TOL = 1e-8
+# pair_by_parts: quadrature tolerance, and the n at which it samples a tower
+# without a declared limit.
+PARTS_TOL = 1e-9
+PARTS_LADDER = (100, 200, 400, 800)
 
 
 @dataclass(frozen=True)
 class GridReport:
     interval: tuple
-    grid_points: int
     n_values: tuple
     sup_errors: tuple
     verdict: bool
@@ -63,8 +70,8 @@ class OffOriginBound:
 
     quantity(n, x) is the function whose sup over the grid is reported;
     bound(n, a) must hold for every n (to 1e-12), and the last sup must also
-    lie within max(tol, bound). With bound None only the last sup is
-    checked, against tol. text is reported as GridReport.bound_used.
+    lie within max(OFF_ORIGIN_TOL, bound). With bound None only the last sup
+    is checked, against OFF_ORIGIN_TOL. text is reported as GridReport.bound_used.
     """
 
     quantity: Callable
@@ -80,10 +87,10 @@ class FundamentalSeq:
     primitive_order beyond the closed forms are lifted numerically, all in
     one pass: Cauchy's formula for repeated integration turns m missing
     levels into m moments of the top closed level, which one anchored
-    quadrature over shared knots computes (tolerance 1e-10). off_origin, an
-    OffOriginBound, is what check_zero_off_origin holds the sequence to away
-    from the origin; by default its terms must fall below tol. label is only
-    displayed. Immutable.
+    quadrature over shared knots computes (tolerance LIFT_TOL). off_origin,
+    an OffOriginBound, is what check_zero_off_origin holds the sequence to
+    away from the origin; by default its terms must fall below
+    OFF_ORIGIN_TOL. label is only displayed. Immutable.
     """
 
     def __init__(self, term, primitive_order, primitives=(),
@@ -146,7 +153,7 @@ def sinc_delta_seq():
         limit_of_primitives=half_abs,
         term_derivative=sinc_delta_prime,
         label="fourier_kernel",
-        panel_hint=lambda n: min(0.5, math.pi / n),
+        panel_hint=half_period_cap,
         off_origin=_DIRICHLET_TAIL)
 
 
@@ -158,7 +165,7 @@ def sinc_step_seq():
         limit_of_primitives=half_abs,
         term_derivative=sinc_delta,
         label="fourier_step",
-        panel_hint=lambda n: min(0.5, math.pi / n),
+        panel_hint=half_period_cap,
         off_origin=_DIRICHLET_TAIL)
 
 
@@ -191,7 +198,7 @@ def damped_cos_seq():
         limit_of_primitives=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         term_derivative=lambda n, x: np.sin(n * np.asarray(x, dtype=float)),
         label="damped_cos",
-        panel_hint=lambda n: min(0.5, math.pi / n))
+        panel_hint=half_period_cap)
 
 
 def scaled_cos_seq():
@@ -204,12 +211,12 @@ def scaled_cos_seq():
         limit_of_primitives=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         term_derivative=lambda n, x: -n * n * np.sin(n * np.asarray(x, dtype=float)),
         label="scaled_cos",
-        panel_hint=lambda n: min(0.5, math.pi / n))
+        panel_hint=half_period_cap)
 
 
-def _grid(interval, grid_points):
+def _grid(interval):
     iv = Interval.coerce(interval)
-    return iv, np.linspace(iv.lo, iv.hi, int(grid_points))
+    return iv, np.linspace(iv.lo, iv.hi, DEFAULT_GRID)
 
 
 def _tail_diameters(values):
@@ -219,8 +226,7 @@ def _tail_diameters(values):
     return np.max(rev_max - rev_min, axis=1)
 
 
-def check_fundamental(seq, interval=(-5.0, 5.0), n_max=50, tol=1e-2, *,
-                      grid_points=DEFAULT_GRID, order=None):
+def check_fundamental(seq, interval=(-5.0, 5.0), n_max=50, tol=1e-2, *, order=None):
     """Verify almost-uniform convergence of the level-k primitives on a grid.
 
     Evaluates primitive(order, n, .) for n = 1..n_max and checks the sup-norm
@@ -228,11 +234,12 @@ def check_fundamental(seq, interval=(-5.0, 5.0), n_max=50, tol=1e-2, *,
     below 2*tol (diameter is at most twice the distance to a limit). When the
     level matches the declared limit, the sup errors against the limit must
     also decrease below tol by n_max. The verdict fails when the sup errors
-    do not decrease.
+    do not decrease. n_max must be an integer >= 2.
     """
+    n_max = require_count(n_max, "n_max")
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    iv, xs = _grid(interval, grid_points)
+    iv, xs = _grid(interval)
     k = seq.primitive_order if order is None else int(order)
     ns = np.arange(1, n_max + 1)
     values = np.vstack([np.asarray(seq.primitive(k, int(n), xs), dtype=float) for n in ns])
@@ -254,23 +261,23 @@ def check_fundamental(seq, interval=(-5.0, 5.0), n_max=50, tol=1e-2, *,
         decreasing = cauchy[half] <= 0.5 * cauchy[0] or cauchy[0] <= tol
         verdict = bool(cauchy_ok and decreasing)
 
-    return GridReport(interval=(iv.lo, iv.hi), grid_points=int(grid_points),
-                      n_values=tuple(int(n) for n in ns),
+    return GridReport(interval=(iv.lo, iv.hi), n_values=tuple(int(n) for n in ns),
                       sup_errors=tuple(float(e) for e in sup_errors),
                       verdict=verdict, bound_used=bound_used, tol=float(tol),
                       cauchy_tail=tuple(float(c) for c in cauchy))
 
 
-def check_equivalent(a, b, interval=(-5.0, 5.0), n_max=50, tol=1e-2, *,
-                     grid_points=DEFAULT_GRID):
+def check_equivalent(a, b, interval=(-5.0, 5.0), n_max=50, tol=1e-2):
     """Check that two fundamental sequences share a common primitive limit.
 
     Uses the larger of the two primitive orders; the lower tower is lifted by
     further anchored integration (numerically when no closed form exists).
+    n_max must be an integer >= 2.
     """
+    n_max = require_count(n_max, "n_max")
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    iv, xs = _grid(interval, grid_points)
+    iv, xs = _grid(interval)
     k = max(a.primitive_order, b.primitive_order)
     ns = np.arange(1, n_max + 1)
     sup_diffs = []
@@ -281,8 +288,7 @@ def check_equivalent(a, b, interval=(-5.0, 5.0), n_max=50, tol=1e-2, *,
     sup_diffs = np.asarray(sup_diffs)
     decreasing = sup_diffs[-1] <= sup_diffs[0] or sup_diffs[0] <= tol
     verdict = bool(sup_diffs[-1] <= tol and decreasing)
-    return GridReport(interval=(iv.lo, iv.hi), grid_points=int(grid_points),
-                      n_values=tuple(int(n) for n in ns),
+    return GridReport(interval=(iv.lo, iv.hi), n_values=tuple(int(n) for n in ns),
                       sup_errors=tuple(sup_diffs),
                       verdict=verdict,
                       bound_used=f"sup |primitive_{k}(a) - primitive_{k}(b)| on grid",
@@ -311,12 +317,12 @@ def seq_derivative(seq):
         panel_hint=seq.panel_hint)
 
 
-def pair_by_parts(seq, f, *, tol=1e-9, n_ladder=(100, 200, 400, 800)):
+def pair_by_parts(seq, f):
     """Pair a sequential distribution with f through k integrations by parts.
 
     Evaluates (-1)^k * integral of Phi * f^(k) over the support of f, using
     the declared limit Phi when available and otherwise extrapolating the
-    integrals of the level-k primitives over n_ladder.
+    integrals of the level-k primitives over n = PARTS_LADDER.
     """
     k = seq.primitive_order
     if k > MAX_DERIVATIVE_ORDER:
@@ -329,32 +335,28 @@ def pair_by_parts(seq, f, *, tol=1e-9, n_ladder=(100, 200, 400, 800)):
     if seq.limit_of_primitives is not None:
         phi = seq.limit_of_primitives
         res = adaptive_quad(lambda x: np.asarray(phi(x), dtype=float) * np.asarray(fk(x), dtype=float),
-                            support.lo, support.hi, tol=tol, breakpoints=(0.0,))
+                            support.lo, support.hi, tol=PARTS_TOL, breakpoints=(0.0,))
         return sign * res.value
 
     samples = []
-    for n in n_ladder:
+    for n in PARTS_LADDER:
         res = adaptive_quad(lambda x: np.asarray(seq.primitive(k, n, x), dtype=float)
                             * np.asarray(fk(x), dtype=float),
-                            support.lo, support.hi, tol=tol, breakpoints=(0.0,))
+                            support.lo, support.hi, tol=PARTS_TOL, breakpoints=(0.0,))
         samples.append((float(n), res.value))
     return sign * extrapolate_limit(samples, mode="inverse_param")
 
 
-def check_zero_off_origin(seq, a, n_max=100, *, grid_points=DEFAULT_GRID,
-                          reach=5.0, tol=1e-8):
+def check_zero_off_origin(seq, a, n_max=100):
     """Verify that the sequence represents 0 on |x| >= a (away from the origin).
 
-    Measures the sequence's declared seq.off_origin on |x| in [a, a + reach]
-    for n = 1..n_max; OffOriginBound states how the verdict follows. a must
-    be > 0 and n_max an integer >= 1.
+    Measures the sequence's declared seq.off_origin on |x| in
+    [a, a + OFF_ORIGIN_REACH] for n = 1..n_max; OffOriginBound states how the
+    verdict follows. a must be finite and > 0, n_max an integer >= 1.
     """
-    a = float(a)
-    if a <= 0.0:
-        raise ValueError("check_zero_off_origin requires a > 0")
+    a = require_positive(a, "a")
     n_max = require_count(n_max, "n_max")
-    half_pts = max(2, int(grid_points) // 2)
-    xs_pos = np.linspace(a, a + reach, half_pts)
+    xs_pos = np.linspace(a, a + OFF_ORIGIN_REACH, DEFAULT_GRID // 2)
     xs = np.concatenate([-xs_pos[::-1], xs_pos])
     ns = np.arange(1, n_max + 1)
 
@@ -367,9 +369,8 @@ def check_zero_off_origin(seq, a, n_max=100, *, grid_points=DEFAULT_GRID,
         if off.bound is not None:
             ok = ok and sup_val <= float(off.bound(int(n), a)) + 1e-12
     last_bound = float(off.bound(int(ns[-1]), a)) if off.bound is not None else 0.0
-    verdict = ok and sup_errors[-1] <= max(tol, last_bound)
+    verdict = ok and sup_errors[-1] <= max(OFF_ORIGIN_TOL, last_bound)
 
-    return GridReport(interval=(a, a + reach), grid_points=2 * half_pts,
-                      n_values=tuple(int(n) for n in ns),
+    return GridReport(interval=(a, a + OFF_ORIGIN_REACH), n_values=tuple(int(n) for n in ns),
                       sup_errors=tuple(sup_errors),
-                      verdict=bool(verdict), bound_used=off.text, tol=float(tol))
+                      verdict=bool(verdict), bound_used=off.text, tol=OFF_ORIGIN_TOL)

@@ -26,6 +26,17 @@ _SERIES_CUTOFF = 1e-4
 # the 1/x^7 and 1/x^8 terms is accurate to ~4e-14 at x = 100.
 _SI_SWITCH = 100.0
 
+# Absolute tolerances of sinc_sq_integral and of fubini_square.
+SINC_SQ_TOL = 1e-12
+FUBINI_TOL = 1e-9
+
+# order -> (inner integrand at one outer node, inner panel cap, outer panel cap)
+# for the integral of exp(-a*x)*sin(x) over [0,R]x[0,R].
+_FUBINI_ORDERS = {
+    "x_first": (lambda a: lambda x: np.exp(-a * x) * np.sin(x), math.pi, 0.5),
+    "alpha_first": (lambda x: lambda a: np.exp(-a * x) * np.sin(x), 0.5, math.pi),
+}
+
 
 def sinc(t):
     """sin(t)/t with a 4-term Taylor series near the removable singularity."""
@@ -95,18 +106,19 @@ def si(x):
 
     Odd by reflection (exactly). Absolute error <= 1e-12 for |x| <= 100;
     beyond the switch the documented envelope is 1e-4/x (actual error is
-    far smaller, O(x^-7)).
+    far smaller, O(x^-7)). Si(+-inf) = +-pi/2 and Si(nan) is nan.
     """
     arr, scalar = as_float_array(x)
     flat = np.atleast_1d(arr).astype(float)
-    sign = np.sign(flat)
+    sign = np.sign(flat)  # nan at nan, which carries through the product below
     ax = np.abs(flat)
-    out = np.empty_like(ax)
-    big = ax > _SI_SWITCH
+    out = np.full_like(ax, HALF_PI)
+    big = (ax > _SI_SWITCH) & (ax < math.inf)
     if big.any():
         out[big] = _si_asymptotic(ax[big])
-    if (~big).any():
-        out[~big] = _si_panels(ax[~big])
+    small = ax <= _SI_SWITCH
+    if small.any():
+        out[small] = _si_panels(ax[small])
     out *= sign
     out = out.reshape(np.shape(arr))
     return maybe_scalar(out, scalar)
@@ -123,7 +135,7 @@ def dirichlet_tail(x):
     return maybe_scalar(HALF_PI - si(arr), scalar)
 
 
-def sinc_sq_integral(a, b, *, tol=1e-12):
+def sinc_sq_integral(a, b):
     """Integral of sin(y)^2 / y^2 over [a, b], 0 <= a < b (b may be inf).
 
     The integrand is 1 at the removable singularity y = 0; b = inf is
@@ -137,11 +149,11 @@ def sinc_sq_integral(a, b, *, tol=1e-12):
     if math.isinf(b):
         if a == 0.0:
             return HALF_PI
-        return HALF_PI - sinc_sq_integral(0.0, a, tol=tol)
-    return adaptive_quad(_sinc_sq, a, b, tol=tol, max_panel=math.pi).value
+        return HALF_PI - sinc_sq_integral(0.0, a)
+    return adaptive_quad(_sinc_sq, a, b, tol=SINC_SQ_TOL, max_panel=math.pi).value
 
 
-def fubini_square(R, order="x_first", *, tol=1e-9):
+def fubini_square(R, order="x_first"):
     """Numerically integrate exp(-a*x)*sin(x) over the square [0,R]x[0,R].
 
     order selects which variable is integrated first ("x_first" or
@@ -150,29 +162,16 @@ def fubini_square(R, order="x_first", *, tol=1e-9):
     |value - arctan(R)| <= 3(1 - exp(-R^2))/(2R).
     """
     R = require_positive(R, "R")
-    if order not in ("x_first", "alpha_first"):
+    if order not in _FUBINI_ORDERS:
         raise ValueError(f"order must be 'x_first' or 'alpha_first', got {order!r}")
-    inner_tol = max(1e-14, tol / (20.0 * R))
-    outer_tol = 0.5 * tol
+    inner, inner_cap, outer_cap = _FUBINI_ORDERS[order]
+    inner_tol = max(1e-14, FUBINI_TOL / (20.0 * R))
 
-    if order == "x_first":
-        def outer_integrand(alphas):
-            alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
-            vals = [adaptive_quad(lambda x, a=a: np.exp(-a * x) * np.sin(x),
-                                  0.0, R, tol=inner_tol, max_panel=math.pi).value
-                    for a in alphas.ravel()]
-            return np.asarray(vals).reshape(alphas.shape)
+    def outer_integrand(ts):
+        vals = [adaptive_quad(inner(t), 0.0, R, tol=inner_tol, max_panel=inner_cap).value
+                for t in ts.ravel()]
+        return np.reshape(vals, ts.shape)
 
-        res = adaptive_quad(outer_integrand, 0.0, R, tol=outer_tol, max_panel=0.5)
-    else:
-        def outer_integrand(xs):
-            xs = np.atleast_1d(np.asarray(xs, dtype=float))
-            vals = [adaptive_quad(lambda a, x=x: np.exp(-a * x) * np.sin(x),
-                                  0.0, R, tol=inner_tol, max_panel=0.5).value
-                    for x in xs.ravel()]
-            return np.asarray(vals).reshape(xs.shape)
-
-        res = adaptive_quad(outer_integrand, 0.0, R, tol=outer_tol, max_panel=math.pi)
-
+    res = adaptive_quad(outer_integrand, 0.0, R, tol=0.5 * FUBINI_TOL, max_panel=outer_cap)
     err = res.abs_error_estimate + R * inner_tol
-    return QuadResult(res.value, err, res.panels_used, err <= tol)
+    return QuadResult(res.value, err, res.panels_used, err <= FUBINI_TOL)

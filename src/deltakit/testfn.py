@@ -284,10 +284,6 @@ class DifferenceQuotient:
         self._d2 = float(derivative(f, 0.0, 2))
         self.switch = 1e-6 * Interval.coerce(f.support).width
 
-    @property
-    def value_at_zero(self):
-        return self._d1
-
     def __call__(self, x):
         arr, scalar = as_float_array(x)
         small = np.abs(arr) < self.switch

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from deltakit import (adaptive_quad, derivative, fourier_family, half_abs,
-                      half_step, lorentz_delta, lorentz_delta_n, lorentz_family,
-                      lorentz_kink, lorentz_step, sinc_delta, sinc_kink,
-                      sinc_step)
+from deltakit import (adaptive_quad, derivative, half_abs, half_step,
+                      lorentz_delta, lorentz_delta_n, lorentz_delta_seq,
+                      lorentz_kink, lorentz_step, sinc_delta, sinc_delta_seq,
+                      sinc_kink, sinc_step)
 
 # oracle values (tests/_oracles.py): cos-kernel quadrature and QUADPACK Si
 SINC_DELTA_2_HALF = 0.5356970668023275
@@ -116,30 +116,39 @@ def test_parity(r, x):
     assert_allclose(lorentz_kink(r, -x), lorentz_kink(r, x), rtol=0, atol=1e-14)
 
 
-@pytest.mark.parametrize("family", [fourier_family(), lorentz_family()])
+# The closed towers, each with the sequence index n of a family parameter:
+# the sinc cutoff r is n itself, the Lorentz width eps is 1/n.
+FAMILIES = [(sinc_delta_seq(), lambda r: r), (lorentz_delta_seq(), lambda eps: 1.0 / eps)]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
 def test_primitive_tower_consistency(family):
-    # d/dx primitive1 = eval and d/dx primitive2 = primitive1, away from 0
+    # d/dx primitive1 = term and d/dx primitive2 = primitive1, away from 0
+    seq, index = family
     xs = np.concatenate([np.linspace(-5, -0.02, 40), np.linspace(0.02, 5, 40)])
     for lam in (0.9, 3.0):
-        d1 = derivative(lambda x: family.primitive1(lam, x), xs, 1)
-        assert np.max(np.abs(d1 - family.eval(lam, xs))) <= 1e-6
-        d2 = derivative(lambda x: family.primitive2(lam, x), xs, 1)
-        assert np.max(np.abs(d2 - family.primitive1(lam, xs))) <= 1e-6
+        n = index(lam)
+        d1 = derivative(lambda x: seq.primitive(1, n, x), xs, 1)
+        assert np.max(np.abs(d1 - seq.term(n, xs))) <= 1e-6
+        d2 = derivative(lambda x: seq.primitive(2, n, x), xs, 1)
+        assert np.max(np.abs(d2 - seq.primitive(1, n, xs))) <= 1e-6
 
 
-@pytest.mark.parametrize("family", [fourier_family(), lorentz_family()])
+@pytest.mark.parametrize("family", FAMILIES)
 def test_primitive1_matches_quadrature(family):
+    seq, index = family
     for lam in (0.5, 4.0, 20.0):
+        n = index(lam)
         for x in (-4.0, -0.7, 1.3, 5.0):
-            res = adaptive_quad(lambda t: family.eval(lam, t), 0.0, x,
+            res = adaptive_quad(lambda t: seq.term(n, t), 0.0, x,
                                 tol=1e-11, max_panel=min(0.5, math.pi / lam))
-            assert abs(res.value - family.primitive1(lam, x)) <= 1e-8
+            assert abs(res.value - seq.primitive(1, n, x)) <= 1e-8
 
 
 def test_primitives_anchored_at_zero():
-    for family in (fourier_family(), lorentz_family()):
-        assert family.primitive1(2.5, 0.0) == 0.0
-        assert family.primitive2(2.5, 0.0) == 0.0
+    for seq, index in FAMILIES:
+        assert seq.primitive(1, index(2.5), 0.0) == 0.0
+        assert seq.primitive(2, index(2.5), 0.0) == 0.0
 
 
 def test_limit_objects():

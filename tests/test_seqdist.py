@@ -201,9 +201,15 @@ def test_zero_off_origin_ignores_label():
 
 def test_zero_off_origin_trivial_and_validation():
     assert check_zero_off_origin(zero_seq(), 0.5, n_max=5).verdict
-    with pytest.raises(ValueError):
-        check_zero_off_origin(zero_seq(), 0.0)
-    # a count below 1 has no last sup to judge
+    for a in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            check_zero_off_origin(zero_seq(), a)
+    # a count below 1 has no last sup to judge, and a fractional n_max is not
+    # rounded to some ladder the caller did not ask for
     for n_max in (0, -3, 2.5):
         with pytest.raises(ValueError):
             check_zero_off_origin(zero_seq(), 0.5, n_max=n_max)
+        with pytest.raises(ValueError):
+            check_fundamental(zero_seq(), (-1.0, 1.0), n_max=n_max)
+        with pytest.raises(ValueError):
+            check_equivalent(zero_seq(), zero_seq(), (-1.0, 1.0), n_max=n_max)

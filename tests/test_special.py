@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from deltakit import dirichlet_tail, fubini_square, si, sinc_sq_integral
+from deltakit import dirichlet_tail, fubini_square, si, sinc_sq_integral, sinc_step
 
 # QUADPACK oracle values (see tests/_oracles.py), double-checked with mpmath
 SI_PI = 1.8519370519824663
@@ -35,6 +35,17 @@ def test_si_vectorized_matches_scalar():
     xs = np.linspace(-120.0, 120.0, 37)
     vec = si(xs)
     assert_allclose(vec, [si(float(x)) for x in xs], rtol=0, atol=0)
+
+
+def test_si_non_finite():
+    assert si(math.inf) == math.pi / 2
+    assert si(-math.inf) == -math.pi / 2
+    assert math.isnan(si(math.nan))
+    out = si(np.array([-math.inf, math.nan, 1.0, math.inf]))
+    assert out[0] == -math.pi / 2 and math.isnan(out[1]) and out[3] == math.pi / 2
+    assert out[2] == si(1.0)
+    assert dirichlet_tail(math.inf) == 0.0
+    assert sinc_step(3.0, -math.inf) == -0.5
 
 
 def test_si_accuracy_against_scipy():
