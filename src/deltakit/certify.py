@@ -113,7 +113,7 @@ def _zero_off_origin_step(n_max=1000, a=1.0):
 
 
 def _fubini_agreement(*R):
-    """Both integration orders agree; values obey the arctan estimate chain.
+    """Both integration orders converge and agree; values obey the arctan estimate chain.
 
     Without R the squares are R = 1, 5, 10.
     """
@@ -130,7 +130,8 @@ def _fubini_agreement(*R):
         rows.append({"R": R, "x_first": rx.value, "alpha_first": ra.value,
                      "order_diff": diff, "arctan_gap": arctan_gap,
                      "arctan_bound": arctan_bound})
-        ok = ok and diff <= agree_tol and arctan_gap <= arctan_bound + 1e-9
+        ok = (ok and rx.converged and ra.converged and diff <= agree_tol
+              and arctan_gap <= arctan_bound + 1e-9)
     return CertReport("fubini", ok,
                       f"order agreement <= {agree_tol:g} and arctan estimate hold: {ok}",
                       {"samples": rows})

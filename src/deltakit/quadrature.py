@@ -2,8 +2,10 @@
 
 The engine evaluates whole batches of panels per call (integrands receive
 ndarrays), bisects the panels whose embedded 7/15-point difference is too
-large, and sums panel contributions in left-to-right order with `math.fsum`,
-so results are deterministic bit-for-bit for a given panel set.
+large, and sums panel contributions with `math.fsum`, which rounds the exact
+sum once, so results are deterministic bit-for-bit for a given panel set.
+One bisection loop refines a batch of rows, integrals of f(i, x) over the
+same interval; adaptive_quad is its one-row call.
 """
 
 from __future__ import annotations
@@ -53,6 +55,10 @@ _EPS = float(np.finfo(float).eps)
 
 # Bisection rounds after which adaptive_quad stops refining.
 MAX_ROUNDS = 64
+
+# Kronrod nodes of the initial panels of one block of _quad_rows (2^14 nodes
+# keep fubini_square's temporaries within a few MB); a block holds >= 1 row.
+ROW_BLOCK_NODES = 2 ** 14
 
 
 class QuadratureError(ArithmeticError):
@@ -143,12 +149,24 @@ def adaptive_quad(f, a, b, *, tol=1e-10, max_panel=None, breakpoints=(),
     per-panel |K15 - G7| differences, which is conservative for smooth
     integrands.
     """
+    return _quad_rows(lambda _, x: f(x), 1, a, b, tol=tol, max_panel=max_panel,
+                      breakpoints=breakpoints, max_panels=max_panels)[0]
+
+
+def _quad_rows(f, rows, a, b, *, tol, max_panel=None, breakpoints=(), max_panels=200_000):
+    """Integrate f(i, x) over [a, b] for each row i < rows: one QuadResult per row.
+
+    f receives a column of row indices broadcast against the Kronrod nodes.
+    Every row is refined exactly as adaptive_quad(lambda x: f(i, x), a, b, ...)
+    refines it, so its result is the same bit for bit. Rows are refined in
+    blocks whose initial panels hold at most ROW_BLOCK_NODES nodes.
+    """
     a = float(a)
     b = float(b)
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("integration endpoints must be finite")
     if a == b:
-        return QuadResult(0.0, 0.0, 1, True)
+        return [QuadResult(0.0, 0.0, 1, True)] * rows
     sign = 1.0
     if b < a:
         a, b = b, a
@@ -157,34 +175,64 @@ def adaptive_quad(f, a, b, *, tol=1e-10, max_panel=None, breakpoints=(),
     cuts = {a, b}
     cuts.update(p for p in map(float, breakpoints) if a < p < b)
     edges = _initial_edges(np.array(sorted(cuts)), max_panel)
-    lo, hi = edges[:-1], edges[1:]
-    vals, errs = _panel_rule(f, lo, hi)
+    block = max(1, ROW_BLOCK_NODES // (NODES.size * (edges.size - 1)))
+    results = []
+    for first in range(0, rows, block):
+        results += _refine_rows(f, first, min(rows, first + block), edges, tol, max_panels,
+                                sign)
+    return results
+
+
+def _refine_rows(f, first, stop, edges, tol, max_panels, sign):
+    """The bisection loop of _quad_rows for rows first..stop-1.
+
+    Panels of all rows share flat arrays (row index, lo, hi, value, error);
+    each round keeps the unsplit panels, then appends the left and the right
+    halves, so every row sees its panels in the order a one-row loop has.
+    Per-row arrays are indexed by row; their entries below first are unused.
+    """
+    grid = edges[None].repeat(stop - first, 0)
+    lo, hi = grid[:, :-1].ravel(), grid[:, 1:].ravel()
+    row = np.arange(first, stop).repeat(edges.size - 1)
+    vals, errs = _panel_rule(lambda x: f(row[:, None], x), lo, hi)
 
     for _ in range(MAX_ROUNDS):
-        total_err = float(errs.sum())
-        if total_err <= tol or lo.size >= max_panels:
+        total = np.bincount(row, errs, stop)
+        if total.max() <= tol:
             break
+        count = np.bincount(row, minlength=stop)
+        refine = ~(total <= tol) & (count < max_panels)
         splittable = (hi - lo) > 16.0 * _EPS * np.maximum(1.0, np.abs(lo) + np.abs(hi))
-        mask = (errs > tol / (2.0 * lo.size)) & splittable
+        splittable &= refine[row]
+        mask = (errs > tol / (2.0 * count[row])) & splittable
+        # a row with nothing over its per-panel share splits its worst panel
+        refine[row[mask]] = False
+        for r in refine.nonzero()[0]:
+            cand = (splittable & (row == r)).nonzero()[0]
+            if cand.size:
+                mask[cand[errs[cand].argmax()]] = True
         if not mask.any():
-            if not splittable.any():
-                break
-            worst = np.argmax(np.where(splittable, errs, -1.0))
-            mask = np.zeros(lo.size, dtype=bool)
-            mask[worst] = True
-        mid = 0.5 * (lo[mask] + hi[mask])
-        new_lo = np.concatenate([lo[~mask], lo[mask], mid])
-        new_hi = np.concatenate([hi[~mask], mid, hi[mask]])
-        new_vals, new_errs = _panel_rule(f, np.concatenate([lo[mask], mid]),
-                                         np.concatenate([mid, hi[mask]]))
-        vals = np.concatenate([vals[~mask], new_vals])
-        errs = np.concatenate([errs[~mask], new_errs])
-        lo, hi = new_lo, new_hi
+            break
+        keep = ~mask
+        split_row, split_lo, split_hi = row[mask], lo[mask], hi[mask]
+        mid = 0.5 * (split_lo + split_hi)
+        row = np.concatenate([row[keep], split_row, split_row])
+        lo = np.concatenate([lo[keep], split_lo, mid])
+        hi = np.concatenate([hi[keep], mid, split_hi])
+        new = slice(-2 * split_row.size, None)
+        new_vals, new_errs = _panel_rule(lambda x: f(row[new, None], x), lo[new], hi[new])
+        vals = np.concatenate([vals[keep], new_vals])
+        errs = np.concatenate([errs[keep], new_errs])
 
-    order = np.argsort(lo, kind="stable")
-    value = math.fsum(vals[order].tolist())
-    err = math.fsum(errs[order].tolist())
-    return QuadResult(sign * value, err, int(lo.size), err <= tol)
+    order = row.argsort(kind="stable")  # math.fsum is exact in any order
+    vals, errs = vals[order], errs[order]
+    results = []
+    end = 0
+    for n in np.bincount(row, minlength=stop)[first:].tolist():
+        start, end = end, end + n
+        value, err = math.fsum(vals[start:end].tolist()), math.fsum(errs[start:end].tolist())
+        results.append(QuadResult(sign * value, err, n, err <= tol))
+    return results
 
 
 def anchored_primitive_values(f, xs, *, tol=1e-10, max_panel=None, moments=1):

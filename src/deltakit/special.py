@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from ._util import as_float_array, maybe_scalar, require_positive
-from .quadrature import QuadResult, _panel_rule, adaptive_quad
+from .quadrature import QuadResult, _panel_rule, _quad_rows, adaptive_quad
 
 __all__ = ["si", "dirichlet_tail", "sinc_sq_integral", "fubini_square", "QuadResult"]
 
@@ -30,11 +30,11 @@ _SI_SWITCH = 100.0
 SINC_SQ_TOL = 1e-12
 FUBINI_TOL = 1e-9
 
-# order -> (inner integrand at one outer node, inner panel cap, outer panel cap)
-# for the integral of exp(-a*x)*sin(x) over [0,R]x[0,R].
+# order -> (inner integrand f(outer node, inner variable), inner panel cap,
+# outer panel cap) for the integral of exp(-a*x)*sin(x) over [0,R]x[0,R].
 _FUBINI_ORDERS = {
-    "x_first": (lambda a: lambda x: np.exp(-a * x) * np.sin(x), math.pi, 0.5),
-    "alpha_first": (lambda x: lambda a: np.exp(-a * x) * np.sin(x), 0.5, math.pi),
+    "x_first": (lambda a, x: np.exp(-a * x) * np.sin(x), math.pi, 0.5),
+    "alpha_first": (lambda x, a: np.exp(-a * x) * np.sin(x), 0.5, math.pi),
 }
 
 
@@ -95,7 +95,8 @@ def _si_panels(ax):
 
 
 def _si_asymptotic(ax):
-    p = 1.0 / (ax * ax)
+    with np.errstate(over="ignore"):  # ax*ax is inf past ~1.3e154; p is then 0
+        p = 1.0 / (ax * ax)
     f = (1.0 - p * (2.0 - p * (24.0 - 720.0 * p))) / ax
     g = p * (1.0 - p * (6.0 - p * (120.0 - 5040.0 * p)))
     return HALF_PI - np.cos(ax) * f - np.sin(ax) * g
@@ -159,19 +160,27 @@ def fubini_square(R, order="x_first"):
     order selects which variable is integrated first ("x_first" or
     "alpha_first"); both orders must agree within their combined error
     estimates, and the value approaches pi/2 as R grows, with
-    |value - arctan(R)| <= 3(1 - exp(-R^2))/(2R).
+    |value - arctan(R)| <= 3(1 - exp(-R^2))/(2R). The inner integrals at the
+    nodes of one outer panel-rule call are refined as rows of one quadrature
+    call. converged holds only when the outer integral and every inner
+    integral met their tolerances.
     """
     R = require_positive(R, "R")
     if order not in _FUBINI_ORDERS:
         raise ValueError(f"order must be 'x_first' or 'alpha_first', got {order!r}")
     inner, inner_cap, outer_cap = _FUBINI_ORDERS[order]
     inner_tol = max(1e-14, FUBINI_TOL / (20.0 * R))
+    inner_converged = True
 
     def outer_integrand(ts):
-        vals = [adaptive_quad(inner(t), 0.0, R, tol=inner_tol, max_panel=inner_cap).value
-                for t in ts.ravel()]
-        return np.reshape(vals, ts.shape)
+        nonlocal inner_converged
+        nodes = ts.ravel()
+        rows = _quad_rows(lambda i, x: inner(nodes[i], x), nodes.size, 0.0, R,
+                          tol=inner_tol, max_panel=inner_cap)
+        inner_converged = inner_converged and all(r.converged for r in rows)
+        return np.reshape([r.value for r in rows], ts.shape)
 
     res = adaptive_quad(outer_integrand, 0.0, R, tol=0.5 * FUBINI_TOL, max_panel=outer_cap)
     err = res.abs_error_estimate + R * inner_tol
-    return QuadResult(res.value, err, res.panels_used, err <= FUBINI_TOL)
+    return QuadResult(res.value, err, res.panels_used,
+                      res.converged and inner_converged and err <= FUBINI_TOL)

@@ -1,11 +1,13 @@
 """Command-line surface: exit codes, report schemas, CSV determinism."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
 
 import pytest
 
+import deltakit.certify
 from deltakit.certify import certificate_names, run_certificate
 from deltakit.cli import main
 
@@ -148,6 +150,20 @@ def test_run_certificate_rejects_params_before_running():
         run_certificate("lemma4", 0)
     with pytest.raises(ValueError):
         run_certificate("lemma6_theta", 100, 0.0)
+
+
+@pytest.mark.parametrize("unconverged", ["x_first", "alpha_first"])
+def test_fubini_fails_when_an_order_does_not_converge(monkeypatch, capsys, unconverged):
+    real = deltakit.certify.fubini_square
+
+    def fubini_square(R, order):
+        res = real(R, order)
+        return dataclasses.replace(res, converged=False) if order == unconverged else res
+
+    monkeypatch.setattr(deltakit.certify, "fubini_square", fubini_square)
+    assert not run_certificate("fubini", 1.0).passed
+    code, out = run_cli(capsys, "certify", "fubini", "--params", "1")
+    assert code == 1 and json.loads(out)["verdict"] == "fail"
 
 
 def test_certify_si_tail_and_identity(capsys):

@@ -48,6 +48,14 @@ def test_si_non_finite():
     assert sinc_step(3.0, -math.inf) == -0.5
 
 
+def test_si_huge_arguments():
+    # x*x overflows past ~1.3e154; the asymptotic pair still gives pi/2 - cos(x)/x
+    assert si(1e300) == math.pi / 2 and si(-1e200) == -math.pi / 2
+    out = si(np.array([1e154, 1.4e154, 1e300, -1.7e308]))
+    assert_allclose(out, np.sign(out) * math.pi / 2, rtol=0, atol=0)
+    assert sinc_step(1e5, 1e150) == 0.5
+
+
 def test_si_accuracy_against_scipy():
     sici = pytest.importorskip("scipy.special").sici
     xs = np.geomspace(1e-3, 1e6, 400)
