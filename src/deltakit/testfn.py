@@ -4,10 +4,14 @@ Construction: one-sided mollifier -> smooth unit up/down steps -> bump that is
 exactly 0 outside [alpha, delta] and exactly 1 on [beta, gamma]. Each of
 them evaluates its truncated Taylor series (a "jet") by univariate Taylor
 arithmetic: the series of -1/(t + s) gives the mollifier's jet through the
-exp recurrence, and the step quotient and the bump product follow the
-quotient and product rules (Griewank & Walther, Evaluating Derivatives,
-ch. 13). derivative(f, x, k) reads f^(k)(x) off the jet, exact to rounding;
-other callables get central finite differences.
+exp recurrence, and the step quotient follows the quotient rule (Griewank &
+Walther, Evaluating Derivatives, ch. 13). Values and jets are computed only
+at the points strictly inside a transition interval; at every other point a
+step or bump is the exact constant 0 or 1 with higher coefficients 0. The
+bump's two transitions are disjoint, so each point takes at most one step's
+jet and the bump forms no product of jets. derivative(f, x, k) reads
+f^(k)(x) off the jet, exact to rounding; other callables get central finite
+differences.
 """
 
 from __future__ import annotations
@@ -74,12 +78,6 @@ class Interval:
         return Interval(float(lo), float(hi))
 
 
-def _jet_mul(a, b):
-    """Taylor coefficients of a product, truncated at the order of a and b."""
-    return [sum((a[i] * b[k - i] for i in range(1, k + 1)), a[0] * b[k])
-            for k in range(len(a))]
-
-
 def _jet_div(a, b):
     """Taylor coefficients of a / b, for b[0] != 0."""
     q = []
@@ -131,20 +129,31 @@ class SmoothStep:
     def jet(self, x, order):
         """Taylor coefficients f^(k)(x)/k! for k = 0..order, as a list of arrays."""
         arr = np.asarray(x, dtype=float)
+        # outside the transition (NaN included) the value is 0 or 1, the rest 0
+        out = _constant_jet((arr >= self.transition.hi) ^ self.falling, order)
+        self._fill_transition(arr, out)
+        return out
+
+    def _fill_transition(self, arr, out):
+        """Overwrite the jet out at the points of arr strictly inside the transition."""
         lo, hi = self.transition.lo, self.transition.hi
-        rising = _mollifier_jet(arr - lo, order)
-        falling = _mollifier_jet(hi - arr, order, sign=-1.0)
+        inside = (arr > lo) & (arr < hi)
+        if not inside.any():
+            return
+        x = arr[inside]
+        rising = _mollifier_jet(x - lo, len(out) - 1)
+        falling = _mollifier_jet(hi - x, len(out) - 1, sign=-1.0)
         den = [r + f for r, f in zip(rising, falling)]
         # den[0] == 0 only when both mollifiers are in the underflow knee; the
-        # value falls back to the sharp step through the midpoint, and the
+        # value there stays the sharp step through the midpoint, and the
         # higher coefficients there are 0 like those of the sharp step.
         ok = den[0] > 0.0
+        value = ((x >= 0.5 * (lo + hi)) ^ self.falling).astype(float)
+        np.divide((falling if self.falling else rising)[0], den[0], out=value, where=ok)
+        out[0][inside] = value
+        if len(out) == 1:
+            return
         den[0] = np.where(ok, den[0], 1.0)
-        num = falling if self.falling else rising
-        sharp = (arr >= 0.5 * (lo + hi)) ^ self.falling
-        value = np.where(ok, num[0] / den[0], sharp)
-        if order == 0:
-            return [value]
         # The rising and falling quotients sum to 1, so past order 0 their
         # coefficients differ only in sign. Dividing the smaller part avoids
         # the cancellation the quotient rule suffers where the step is near 0
@@ -152,7 +161,14 @@ class SmoothStep:
         rising_smaller = rising[0] <= falling[0]
         q = _jet_div([np.where(rising_smaller, r, f) for r, f in zip(rising, falling)], den)
         sign = np.where(rising_smaller != self.falling, 1.0, -1.0)
-        return [value] + [sign * c for c in q[1:]]
+        for k in range(1, len(out)):
+            out[k][inside] = sign * q[k]
+
+
+def _constant_jet(value, order):
+    """The jet of a piecewise constant: value as floats, higher coefficients 0."""
+    value = np.array(value, dtype=float)  # an ndarray even for 0-d input
+    return [value] + [np.zeros(value.shape) for _ in range(order)]
 
 
 def smooth_step_up(alpha, beta):
@@ -223,7 +239,9 @@ def bump(alpha, beta, gamma, delta):
     """Smooth bump: 0 outside [alpha, delta], 1 on [beta, gamma], in (0, 1) between.
 
     Product of a rising step on [alpha, beta] and a falling step on
-    [gamma, delta]; requires alpha < beta < gamma < delta strictly.
+    [gamma, delta], evaluated piecewise: each transition takes its step's
+    jet, the plateau is 1 and the rest 0. Requires alpha < beta < gamma <
+    delta strictly.
     """
     knots = [float(alpha), float(beta), float(gamma), float(delta)]
     if not all(a < b for a, b in zip(knots, knots[1:])):
@@ -232,7 +250,17 @@ def bump(alpha, beta, gamma, delta):
     down = smooth_step_down(gamma, delta)
     return TestFunction(None, Interval(alpha, delta),
                         label=f"bump({alpha:g},{beta:g},{gamma:g},{delta:g})",
-                        jet=lambda x, order: _jet_mul(up.jet(x, order), down.jet(x, order)))
+                        jet=lambda x, order: _bump_jet(up, down, x, order))
+
+
+def _bump_jet(up, down, x, order):
+    """The bump's jet: 1 on the plateau, each step's jet inside its transition
+    (they are disjoint), and 0 elsewhere."""
+    arr = np.asarray(x, dtype=float)
+    out = _constant_jet((arr >= up.transition.hi) & (arr <= down.transition.lo), order)
+    up._fill_transition(arr, out)
+    down._fill_transition(arr, out)
+    return out
 
 
 def _stencil(f, x, h, order):

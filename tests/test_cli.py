@@ -18,6 +18,9 @@ GOLDEN_ARGV = {
                      "--tol", "1e-2"],
     "pair_shift": ["pair", "--family", "fourier", "--params", "100,200,400",
                    "--shift", "0.25"],
+    # the shift puts the origin inside the bump's rising transition
+    "pair_transition": ["pair", "--family", "lorentz", "--params", "1e-1,1e-2,1e-3",
+                        "--bump=-2.1,-1.2,1.1,1.9", "--shift", "1.5", "--tol", "1e-2"],
     **{f"certify_{name}": ["certify", name] for name in certificate_names()},
 }
 

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 from deltakit import (Interval, TestFunction, bump, derivative,
                       difference_quotient, mollifier, smooth_step_down,
                       smooth_step_up)
+from deltakit.testfn import MOLLIFIER_KNEE
 
 # exp(-1), cross-checked against mpmath.exp(-1) to 30 digits
 EXP_MINUS_ONE = 0.36787944117144233
@@ -225,3 +226,121 @@ def test_test_function_takes_values_or_a_jet():
         TestFunction(None, (0.0, 1.0))
     with pytest.raises(ValueError):
         TestFunction(np.sin, (0.0, 1.0), jet=lambda x, order: [np.sin(x)])
+
+
+# -- Jets against the full-array formula: every step evaluated on every point
+# and the bump taken as the product of two step jets. The library runs the
+# mollifiers only inside the transitions; order 0 must agree bit for bit and
+# the higher orders by value. --
+
+def _full_mollifier_jet(t, order, sign=1.0):
+    pos = t > MOLLIFIER_KNEE
+    u = [-1.0 / np.where(pos, t, 1.0)]
+    e = [np.where(pos, np.exp(u[0]), 0.0)]
+    for k in range(1, order + 1):
+        u.append(u[-1] * (sign * u[0]))
+        e.append(sum((j * u[j] * e[k - j] for j in range(2, k + 1)), u[1] * e[k - 1]) / k)
+    return e
+
+
+def _full_jet_div(a, b):
+    q = []
+    for k in range(len(a)):
+        acc = a[k]
+        for i in range(k):
+            acc = acc - q[i] * b[k - i]
+        q.append(acc / b[0])
+    return q
+
+
+def _full_jet_mul(a, b):
+    return [sum((a[i] * b[k - i] for i in range(1, k + 1)), a[0] * b[k])
+            for k in range(len(a))]
+
+
+def _full_step_jet(lo, hi, falling, x, order):
+    arr = np.asarray(x, dtype=float)
+    rising_m = _full_mollifier_jet(arr - lo, order)
+    falling_m = _full_mollifier_jet(hi - arr, order, sign=-1.0)
+    den = [r + f for r, f in zip(rising_m, falling_m)]
+    ok = den[0] > 0.0
+    den[0] = np.where(ok, den[0], 1.0)
+    num = falling_m if falling else rising_m
+    sharp = (arr >= 0.5 * (lo + hi)) ^ falling
+    value = np.where(ok, num[0] / den[0], sharp)
+    if order == 0:
+        return [value]
+    rising_smaller = rising_m[0] <= falling_m[0]
+    q = _full_jet_div([np.where(rising_smaller, r, f) for r, f in zip(rising_m, falling_m)],
+                      den)
+    sign = np.where(rising_smaller != falling, 1.0, -1.0)
+    return [value] + [sign * c for c in q[1:]]
+
+
+def _full_bump_jet(knots, x, order):
+    a, b, c, d = knots
+    return _full_jet_mul(_full_step_jet(a, b, False, x, order),
+                         _full_step_jet(c, d, True, x, order))
+
+
+NARROW = (0.25, 0.25 + 0.5 * MOLLIFIER_KNEE)  # every inside point takes the sharp step
+
+# (function under test, full-array oracle jet, its knots in x)
+JET_CASES = {
+    "bump": (bump(-2.0, -1.0, 1.0, 2.0),
+             lambda x, n: _full_bump_jet((-2.0, -1.0, 1.0, 2.0), x, n),
+             (-2.0, -1.0, 1.0, 2.0)),
+    "bump_shifted_scaled": (
+        bump(-1.7, -0.45, 0.3, 2.1).shifted(0.37).scaled(-2.5),
+        lambda x, n: [-2.5 * v for v in
+                      _full_bump_jet((-1.7, -0.45, 0.3, 2.1), np.asarray(x) - 0.37, n)],
+        tuple(k + 0.37 for k in (-1.7, -0.45, 0.3, 2.1))),
+    "step_down": (smooth_step_down(-0.5, 1.25),
+                  lambda x, n: _full_step_jet(-0.5, 1.25, True, x, n),
+                  (-0.5, 1.25)),
+    "step_narrow": (smooth_step_up(*NARROW),
+                    lambda x, n: _full_step_jet(*NARROW, False, x, n),
+                    NARROW),
+}
+
+
+def _edge_points(knots):
+    pts = [math.nan, math.inf, -math.inf, 0.0, -0.0]
+    for k in knots:
+        pts += [k, k - MOLLIFIER_KNEE, k + MOLLIFIER_KNEE, k - 1e-17, k + 1e-17,
+                math.nextafter(k, -math.inf), math.nextafter(k, math.inf)]
+    for lo, hi in zip(knots, knots[1:]):
+        pts += list(np.linspace(lo, hi, 9))
+    return np.array(pts)
+
+
+def _assert_jets_match(case, xs):
+    f, oracle, _ = JET_CASES[case]
+    for order in range(5):
+        got, want = f.jet(xs, order), oracle(xs, order)
+        assert len(got) == len(want) == order + 1
+        assert np.shape(got[0]) == np.shape(want[0]) == np.shape(xs)
+        assert np.asarray(got[0]).tobytes() == np.asarray(want[0]).tobytes(), (case, order)
+        for k in range(1, order + 1):
+            assert np.array_equal(got[k], want[k], equal_nan=True), (case, order, k)
+
+
+@pytest.mark.parametrize("case", sorted(JET_CASES))
+def test_jets_match_the_full_array_formula(case):
+    xs = _edge_points(JET_CASES[case][2])
+    _assert_jets_match(case, xs)
+    # the quadrature hands (panels, 15) node arrays
+    _assert_jets_match(case, np.resize(xs, (xs.size // 15 + 1, 15)))
+    for x in xs:
+        _assert_jets_match(case, np.array(x))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(JET_CASES)),
+       st.lists(st.floats(min_value=-4.0, max_value=4.0) | st.floats(), min_size=1,
+                max_size=45))
+def test_jets_match_the_full_array_formula_at_drawn_points(case, values):
+    xs = np.array(values)
+    _assert_jets_match(case, xs)
+    if xs.size % 3 == 0:
+        _assert_jets_match(case, xs.reshape(3, -1))
