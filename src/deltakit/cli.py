@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -211,6 +212,7 @@ def cmd_figure(config):
     return 0
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="deltakit",

@@ -1,19 +1,23 @@
 """Sine integral, Dirichlet tails, and the exp-damped sine double integral.
 
-si(x) uses half-period Gauss-Kronrod panels (cached prefix sums over the
-integer multiples of pi) up to |x| = 100 and a three-term asymptotic pair
-beyond, so its absolute error stays below 1e-12 in the quadrature regime and
-below ~1e-11 everywhere (bounded by 720/x^7 + 5040/x^8 past the switch).
+si(x) evaluates, up to |x| = 100, a degree-16 Chebyshev expansion of Si on
+the half-period [k*pi, (k+1)*pi] that holds |x|, by Clenshaw's recurrence:
+no quadrature per point. The table is built once from sinc samples. Its
+absolute error measured against mpmath is at most 6.7e-16 on [0, pi] and
+2.2e-16 on [pi, 100]. Beyond 100, si uses a five-term asymptotic pair,
+whose truncation error is bounded by the first omitted terms, 10!/x^11 +
+11!/x^12.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from ._util import as_float_array, maybe_scalar, require_positive
-from .quadrature import QuadResult, _panel_rule, _quad_rows, adaptive_quad
+from .quadrature import QuadResult, _quad_rows, adaptive_quad
 
 __all__ = ["si", "dirichlet_tail", "sinc_sq_integral", "fubini_square", "QuadResult"]
 
@@ -22,9 +26,12 @@ HALF_PI = 0.5 * math.pi
 # Removable singularities are evaluated by series below this threshold.
 _SERIES_CUTOFF = 1e-4
 
-# Quadrature/asymptotic switch for si. The asymptotic pair truncated after
-# the 1/x^7 and 1/x^8 terms is accurate to ~4e-14 at x = 100.
+# Chebyshev/asymptotic switch for si. The asymptotic pair truncated after
+# the 1/x^9 and 1/x^10 terms is accurate to ~5e-16 at x = 100.
 _SI_SWITCH = 100.0
+
+# Degree of si's Chebyshev interpolant on each half-period below the switch.
+_SI_DEGREE = 16
 
 # Absolute tolerances of sinc_sq_integral and of fubini_square.
 SINC_SQ_TOL = 1e-12
@@ -67,47 +74,75 @@ def _sinc_sq(y):
     return s * s
 
 
-_PREFIX = None  # cumulative integral of sinc over [0, k*pi], k = 0..32
+@functools.cache
+def _si_table():
+    """Chebyshev coefficients of Si on the half-periods [k*pi, (k+1)*pi].
+
+    One piece per k = 0..31, which covers [0, switch]; built on the first
+    call. sinc is sampled at _SI_DEGREE first-kind Chebyshev points of each
+    piece, a cosine sum (a DCT) gives its coefficients, and the
+    antiderivative recurrence integrates them. Si(k*pi) goes into each
+    piece's constant term: math.fsum of Fejer's first rule on the same
+    samples over the earlier pieces, which rounds less than summing their
+    integrated coefficients. Returns the pieces' left ends, their
+    half-widths and the coefficient rows, row j holding T_j's coefficient of
+    every piece.
+    """
+    n = _SI_DEGREE
+    edges = np.arange(int(_SI_SWITCH // math.pi) + 2) * math.pi
+    left, half = edges[:-1, None], 0.5 * np.diff(edges)[:, None]
+    theta = (np.arange(n) + 0.5) * (math.pi / n)
+    cosines = np.cos(np.outer(np.arange(n), theta))  # row m: T_m at the nodes
+    # sin(left + offset) by angle addition, so each sample is taken at its
+    # node exactly and not at the rounded sum
+    offset = half * (cosines[1] + 1.0)
+    values = (np.sin(left) * np.cos(offset) + np.cos(left) * np.sin(offset)) / (left + offset)
+    c = np.zeros((left.size, n + 2))  # sinc's coefficients, c[:, 0] doubled
+    c[:, :n] = (2.0 / n) * values @ cosines.T
+    m = np.arange(1, n + 1)
+    coef = np.empty((left.size, n + 1))
+    coef[:, 1:] = half * (c[:, :n] - c[:, 2:]) / (2 * m)
+    even = np.arange(2, n, 2)
+    weights = (2.0 / n) * (1.0 + (2.0 / (1.0 - even * even)) @ cosines[even])
+    at_left = (-1.0) ** m  # T_m(-1)
+    earlier = []  # Fejer terms of the earlier pieces: they sum to Si(k*pi)
+    for row, rise in zip(coef, (half * weights * values).tolist()):
+        row[0] = math.fsum([*earlier, *(-at_left * row[1:])])
+        earlier += rise
+    return edges[:-1], half.ravel(), np.ascontiguousarray(coef.T)
 
 
-def _prefix_table():
-    global _PREFIX
-    if _PREFIX is None:
-        n_panels = int(_SI_SWITCH // math.pi) + 1
-        partials = [adaptive_quad(sinc, k * math.pi, (k + 1) * math.pi, tol=1e-15).value
-                    for k in range(n_panels)]
-        cumulative = [0.0]
-        for k in range(n_panels):
-            cumulative.append(math.fsum(partials[:k + 1]))
-        _PREFIX = np.asarray(cumulative)
-    return _PREFIX
-
-
-def _si_panels(ax):
-    """Si on 0 <= ax <= switch: prefix sum plus one Kronrod panel remainder."""
-    prefix = _prefix_table()
-    m = np.minimum(np.floor(ax / math.pi).astype(int), prefix.size - 2)
-    lo = m * math.pi
-    k15, err = _panel_rule(sinc, lo, ax)
-    for i in np.flatnonzero(err > 1e-13):
-        k15[i] = adaptive_quad(sinc, lo[i], ax[i], tol=1e-14).value
-    return prefix[m] + k15
+def _si_chebyshev(ax):
+    """Si on 0 <= ax <= switch: Clenshaw's recurrence on the piece holding ax."""
+    left, half, coef = _si_table()
+    k = np.minimum((ax / math.pi).astype(np.intp), half.size - 1)
+    t = (ax - left[k]) / half[k] - 1.0
+    t2 = t + t
+    b1 = b2 = np.zeros_like(t)
+    for row in coef[:0:-1]:
+        b1, b2 = row[k] + t2 * b1 - b2, b1
+    return coef[0][k] + (t * b1 - b2)
 
 
 def _si_asymptotic(ax):
     with np.errstate(over="ignore"):  # ax*ax is inf past ~1.3e154; p is then 0
         p = 1.0 / (ax * ax)
-    f = (1.0 - p * (2.0 - p * (24.0 - 720.0 * p))) / ax
-    g = p * (1.0 - p * (6.0 - p * (120.0 - 5040.0 * p)))
+    f = (1.0 - p * (2.0 - p * (24.0 - p * (720.0 - 40320.0 * p)))) / ax
+    g = p * (1.0 - p * (6.0 - p * (120.0 - p * (5040.0 - 362880.0 * p))))
     return HALF_PI - np.cos(ax) * f - np.sin(ax) * g
 
 
 def si(x):
     """Sine integral Si(x) = integral of sin(t)/t from 0 to x.
 
-    Odd by reflection (exactly). Absolute error <= 1e-12 for |x| <= 100;
-    beyond the switch the documented envelope is 1e-4/x (actual error is
-    far smaller, O(x^-7)). Si(+-inf) = +-pi/2 and Si(nan) is nan.
+    For |x| <= 100, a piecewise Chebyshev table (one degree-16 piece per
+    half-period) evaluated by Clenshaw's recurrence, with no quadrature;
+    absolute error measured against mpmath at most 6.7e-16, and bitwise the
+    same for a scalar and for that scalar inside an array. The error is
+    absolute, not relative: near 0, where Si(x) ~ x, it stays a few 1e-16,
+    and si(x) reads 0 below |x| ~ 1e-16. Beyond the switch the documented
+    envelope is 1e-4/x (actual error is far smaller, O(x^-11)). Odd by
+    reflection (exactly). Si(+-inf) = +-pi/2 and Si(nan) is nan.
     """
     arr, scalar = as_float_array(x)
     flat = np.atleast_1d(arr).astype(float)
@@ -119,7 +154,7 @@ def si(x):
         out[big] = _si_asymptotic(ax[big])
     small = ax <= _SI_SWITCH
     if small.any():
-        out[small] = _si_panels(ax[small])
+        out[small] = _si_chebyshev(ax[small])
     out *= sign
     out = out.reshape(np.shape(arr))
     return maybe_scalar(out, scalar)

@@ -256,3 +256,20 @@ def test_output_matches_golden(capsys, name):
     code, out = run_cli(capsys, *GOLDEN_ARGV[name])
     assert code == (0 if want["verdict"] == "pass" else 1)
     assert_same_report(json.loads(out), want)
+
+
+def test_rejected_commands_do_not_change_the_next_output(capsys):
+    # main builds its parser once per process: commands rejected at parse
+    # time and after it, with non-default flag values, must not leak into
+    # the next command run in the same process
+    rejected = (["pair", "--family", "lorentz", "--params", "1e-1,1e-2", "--shift", "0.5",
+                 "--bump=-3,-2,2,3", "--tol", "1e-2"],
+                ["certify", "no_such_certificate"])
+    for argv in rejected:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    code, out = run_cli(capsys, *GOLDEN_ARGV["pair_fourier"])
+    assert code == 0
+    assert_same_report(json.loads(out), json.loads((GOLDEN / "pair_fourier.json").read_text()))

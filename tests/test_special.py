@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from _si_grid import SEAMS, si_grid
 from numpy.testing import assert_allclose
 
 from deltakit import dirichlet_tail, fubini_square, si, sinc_sq_integral, sinc_step
@@ -32,9 +33,10 @@ def test_si_oddness_property(x):
 
 
 def test_si_vectorized_matches_scalar():
-    xs = np.linspace(-120.0, 120.0, 37)
-    vec = si(xs)
-    assert_allclose(vec, [si(float(x)) for x in xs], rtol=0, atol=0)
+    grid = si_grid(sweep=1001)
+    xs = np.concatenate([np.linspace(-120.0, 120.0, 37), grid, -grid])
+    scalars = np.array([si(float(x)) for x in xs])
+    assert scalars.tobytes() == si(xs).tobytes()  # bit for bit, signed zeros too
 
 
 def test_si_non_finite():
@@ -59,7 +61,19 @@ def test_si_huge_arguments():
 def test_si_accuracy_against_scipy():
     sici = pytest.importorskip("scipy.special").sici
     xs = np.geomspace(1e-3, 1e6, 400)
-    assert np.max(np.abs(si(xs) - sici(xs)[0])) <= 1e-12
+    assert np.max(np.abs(si(xs) - sici(xs)[0])) <= 2e-15
+
+
+def test_si_matches_scipy_on_the_dense_grid():
+    sici = pytest.importorskip("scipy.special").sici
+    xs = si_grid()
+    assert np.max(np.abs(si(xs) - sici(xs)[0])) <= 2e-15
+
+
+def test_si_is_continuous_across_the_seams():
+    # Si rises by at most ~1e-17 over the two floats around a seam
+    below, above = np.nextafter(SEAMS, -np.inf), np.nextafter(SEAMS, np.inf)
+    assert np.max(np.abs(si(above) - si(below))) <= 1e-15
 
 
 def test_si_tail_envelope():
