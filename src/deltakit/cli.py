@@ -106,7 +106,7 @@ def cmd_pair(config):
     samples = [(p, res.value) for p, res in zip(config.params, results)]
     limit = extrapolate_limit(samples, mode=mode)
     limit_error = abs(limit - f0)
-    passed = limit_error <= config.tolerance
+    passed = limit_error <= config.tolerance and all(r.converged for r in results)
     payload = {
         "command": "pair",
         "config": config.echo(),

@@ -20,7 +20,6 @@ from .special import si
 from .testfn import Interval, derivative, difference_quotient
 
 __all__ = [
-    "PairingResult",
     "RateFit",
     "pair",
     "pair_sinc",
@@ -33,13 +32,6 @@ __all__ = [
 # Absolute tolerance of the sinc pairings and of the sine-decay samples.
 PAIR_TOL = 1e-10
 SINE_DECAY_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class PairingResult:
-    value: float
-    abs_error_estimate: float
-    param: float | None = None
 
 
 @dataclass(frozen=True)
@@ -58,19 +50,17 @@ class RateFit:
 
 
 def pair(phi, f, *, tol=1e-10, max_panel=None, breakpoints=()):
-    """Pair an integrable function phi against a compactly supported f."""
+    """Pair an integrable phi against a compactly supported f: one quadrature's QuadResult."""
     support = Interval.coerce(f.support)
-    res = adaptive_quad(lambda x: np.asarray(phi(x), dtype=float) * np.asarray(f(x), dtype=float),
-                        support.lo, support.hi,
-                        tol=tol, max_panel=max_panel, breakpoints=breakpoints)
-    return PairingResult(res.value, res.abs_error_estimate, None)
+    return adaptive_quad(lambda x: np.asarray(phi(x), dtype=float) * np.asarray(f(x), dtype=float),
+                         support.lo, support.hi,
+                         tol=tol, max_panel=max_panel, breakpoints=breakpoints)
 
 
 def pair_sinc(r, f):
     """Pair the truncated-spectrum kernel against f, panels <= pi/r wide."""
     r = require_positive(r, "r")
-    res = pair(lambda x: sinc_delta(r, x), f, tol=PAIR_TOL, max_panel=half_period_cap(r))
-    return PairingResult(res.value, res.abs_error_estimate, r)
+    return pair(lambda x: sinc_delta(r, x), f, tol=PAIR_TOL, max_panel=half_period_cap(r))
 
 
 def pair_split(r, f):
@@ -102,9 +92,8 @@ def pair_lorentz(eps, f, *, tol=1e-10):
     while scale < reach:
         edges.extend((scale, -scale))
         scale *= 2.0
-    res = pair(lambda x: lorentz_delta(eps, x), f, tol=tol,
-               max_panel=0.5, breakpoints=edges)
-    return PairingResult(res.value, res.abs_error_estimate, eps)
+    return pair(lambda x: lorentz_delta(eps, x), f, tol=tol,
+                max_panel=0.5, breakpoints=edges)
 
 
 def sine_decay_fit(g, interval, r_list):

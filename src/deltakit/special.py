@@ -19,7 +19,7 @@ import numpy as np
 from ._util import as_float_array, maybe_scalar, require_positive
 from .quadrature import QuadResult, _quad_rows, adaptive_quad
 
-__all__ = ["si", "dirichlet_tail", "sinc_sq_integral", "fubini_square", "QuadResult"]
+__all__ = ["si", "dirichlet_tail", "sinc_sq_integral", "fubini_square"]
 
 HALF_PI = 0.5 * math.pi
 

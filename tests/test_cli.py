@@ -1,13 +1,19 @@
 """Command-line surface: exit codes, report schemas, CSV determinism."""
 
+import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import deltakit
 import deltakit.certify
+import deltakit.cli
 from deltakit.certify import certificate_names, run_certificate
 from deltakit.cli import main
 
@@ -22,6 +28,13 @@ GOLDEN_ARGV = {
     "pair_transition": ["pair", "--family", "lorentz", "--params", "1e-1,1e-2,1e-3",
                         "--bump=-2.1,-1.2,1.1,1.9", "--shift", "1.5", "--tol", "1e-2"],
     **{f"certify_{name}": ["certify", name] for name in certificate_names()},
+}
+# outputs in the other formats, named by their golden file
+FORMAT_GOLDEN_ARGV = {
+    **{f"figure_{fig}.csv": ["figure", "--fig", str(fig), "--grid", "41", "--out", "-"]
+       for fig in range(1, 10)},
+    "figure_3.json": ["figure", "--fig", "3", "--grid", "41", "--format", "json"],
+    "certify_si_tail.csv": ["certify", "si_tail", "--format", "csv"],
 }
 
 
@@ -169,6 +182,36 @@ def test_fubini_fails_when_an_order_does_not_converge(monkeypatch, capsys, uncon
     assert code == 1 and json.loads(out)["verdict"] == "fail"
 
 
+def test_pair_fails_when_a_pairing_does_not_converge(monkeypatch, capsys):
+    real = deltakit.cli.pair_sinc
+
+    def pair_sinc(r, f):
+        res = real(r, f)
+        return dataclasses.replace(res, converged=False) if r == 200.0 else res
+
+    monkeypatch.setattr(deltakit.cli, "pair_sinc", pair_sinc)
+    code, out = run_cli(capsys, *GOLDEN_ARGV["pair_fourier"])
+    report = json.loads(out)
+    # the limit still meets --tol; the unconverged pairing alone fails the run
+    assert report["abs_limit_error"] <= 1e-3
+    assert code == 1 and report["verdict"] == "fail"
+
+
+def test_lemma5_rate_fails_when_a_pairing_does_not_converge(monkeypatch, capsys):
+    real = deltakit.certify.pair_lorentz
+
+    def pair_lorentz(eps, f, *, tol=1e-10):
+        res = real(eps, f, tol=tol)
+        return dataclasses.replace(res, converged=False) if eps == 1e-3 else res
+
+    monkeypatch.setattr(deltakit.certify, "pair_lorentz", pair_lorentz)
+    report = run_certificate("lemma5_rate")
+    assert not report.passed
+    assert report.summary == "pairing at eps = 0.001 did not converge"
+    code, out = run_cli(capsys, "certify", "lemma5_rate")
+    assert code == 1 and json.loads(out)["verdict"] == "fail"
+
+
 def test_certify_si_tail_and_identity(capsys):
     for name in ("si_tail", "eq23_identity"):
         code, out = run_cli(capsys, "certify", name)
@@ -273,3 +316,38 @@ def test_rejected_commands_do_not_change_the_next_output(capsys):
     code, out = run_cli(capsys, *GOLDEN_ARGV["pair_fourier"])
     assert code == 0
     assert_same_report(json.loads(out), json.loads((GOLDEN / "pair_fourier.json").read_text()))
+
+
+def _csv_cells(text):
+    """CSV rows as lists, with each cell that parses as a number a float."""
+    def cell(text):
+        try:
+            return float(text)
+        except ValueError:
+            return text
+    return [[cell(c) for c in row] for row in csv.reader(text.splitlines())]
+
+
+@pytest.mark.parametrize("name", sorted(FORMAT_GOLDEN_ARGV))
+def test_other_formats_match_golden(capsys, name):
+    code, out = run_cli(capsys, *FORMAT_GOLDEN_ARGV[name])
+    assert code == 0
+    want = (GOLDEN / name).read_text()
+    if name.endswith(".json"):
+        assert_same_report(json.loads(out), json.loads(want))
+    else:
+        assert_same_report(_csv_cells(out), _csv_cells(want))
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["certify", "si_tail"], 0),
+    (["pair", "--family", "fourier", "--params", "100,200,400", "--tol", "1e-12"], 1),
+    (["certify", "lemma4", "--params", "0"], 2),
+])
+def test_module_entry_point_exit_codes(argv, code):
+    src = str(Path(deltakit.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-m", "deltakit.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == code, proc.stderr

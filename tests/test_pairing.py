@@ -8,9 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from deltakit import (QuadratureError, TestFunction, bump, difference_quotient,
-                      extrapolate_limit, pair, pair_lorentz, pair_sinc,
-                      pair_split, sinc_step, sine_decay_fit)
+from deltakit import (QuadResult, QuadratureError, TestFunction, adaptive_quad,
+                      bump, difference_quotient, extrapolate_limit, lorentz_delta,
+                      pair, pair_lorentz, pair_sinc, pair_split, sinc_delta,
+                      sinc_step, sine_decay_fit)
+from deltakit.pairing import PAIR_TOL
+from deltakit.quadrature import half_period_cap
 
 # closed-form oracle: int_{-1}^{1} x sin(10 x) dx = 2 (sin 10 - 10 cos 10)/100
 I_10_LINEAR = 0.15693388359750307
@@ -44,7 +47,26 @@ def test_pair_sinc_concentrates_at_zero():
     f = make_bump()
     res = pair_sinc(500.0, f)
     assert abs(res.value - 1.0) <= 2e-2
-    assert res.param == 500.0
+
+
+def test_pairings_return_their_quadratures_result():
+    # each pairing is one adaptive_quad over f's support, returned whole
+    f = make_bump()
+    r, eps = 50.0, 1e-2
+    edges = [0.0] + [s * eps * 2.0 ** k for k in range(8) for s in (1.0, -1.0)]
+    cases = [
+        (pair(np.cos, f, tol=1e-8),
+         adaptive_quad(lambda x: np.cos(x) * f(x), -2.0, 2.0, tol=1e-8)),
+        (pair_sinc(r, f),
+         adaptive_quad(lambda x: sinc_delta(r, x) * f(x), -2.0, 2.0, tol=PAIR_TOL,
+                       max_panel=half_period_cap(r))),
+        (pair_lorentz(eps, f),
+         adaptive_quad(lambda x: lorentz_delta(eps, x) * f(x), -2.0, 2.0, tol=1e-10,
+                       max_panel=0.5, breakpoints=edges)),
+    ]
+    for got, want in cases:
+        assert isinstance(got, QuadResult)
+        assert got == want and got.converged
 
 
 def test_pair_sinc_away_from_origin():

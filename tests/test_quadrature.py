@@ -8,8 +8,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from deltakit import (FundamentalSeq, QuadResult, QuadratureError, adaptive_quad,
-                      bump, derivative, fubini_square, half_abs, lorentz_delta_n,
-                      lorentz_kink, sinc_delta, sinc_kink)
+                      bump, derivative, fubini_square, half_abs, lorentz_delta,
+                      lorentz_delta_n, lorentz_kink, lorentz_step, sinc_delta,
+                      sinc_kink)
 from deltakit import quadrature
 from deltakit.quadrature import NODES, ROW_BLOCK_NODES, _panel_rule, _quad_rows
 from deltakit.special import FUBINI_TOL
@@ -165,3 +166,12 @@ def test_lifting_three_levels(n):
     xs = np.linspace(-5.0, 5.0, 2001)
     seq = _open_tower(_scaled_cos, lambda n: min(0.5, math.pi / n))
     assert_allclose(seq.primitive(3, n, xs), (xs - np.sin(n * xs) / n) / n, atol=1e-9, rtol=0)
+
+
+def test_lifting_refines_segments_the_shared_panels_miss():
+    # one panel on each segment next to 0 reads 0.212 and 0.372 for a peak of
+    # width 1e-3; only refining those segments recovers arctan(x/eps)/pi
+    xs = np.array([-3.0, -1.0, 0.5, 3.0])
+    prim = quadrature.anchored_primitive_values(lambda x: lorentz_delta(1e-3, x), xs)
+    assert prim.shape == (1, 4)
+    assert_allclose(prim[0], lorentz_step(1e3, xs), atol=1e-14, rtol=0)

@@ -221,6 +221,26 @@ def test_plain_callable_uses_finite_differences():
     assert fd != exact and abs(fd - exact) <= 1e-6 * abs(exact)
 
 
+def test_plain_callable_third_and_fourth_derivatives():
+    xs = np.array([-1.2, 0.3, 4.0])
+    assert_allclose(derivative(np.sin, xs, 3), -np.cos(xs), atol=1e-5, rtol=0)
+    assert_allclose(derivative(np.sin, xs, 4), np.sin(xs), atol=1e-3, rtol=0)
+    d4 = derivative(np.sin, 0.3, 4)
+    assert isinstance(d4, float) and d4 == derivative(np.sin, xs, 4)[1]
+
+
+def test_shift_and_scale_of_a_function_given_by_values():
+    f = TestFunction(np.cos, (-1.0, 1.0))
+    g, h = f.shifted(0.5), f.scaled(3.0)
+    assert g.jet is None and h.jet is None
+    assert (g.support.lo, g.support.hi) == (-0.5, 1.5)
+    assert (h.support.lo, h.support.hi) == (-1.0, 1.0)
+    xs = np.linspace(-1.0, 1.0, 9)  # multiples of 1/4: the shift is exact
+    assert g(xs + 0.5).tobytes() == np.cos(xs).tobytes()
+    assert h(xs).tobytes() == (3.0 * np.cos(xs)).tobytes()
+    assert abs(derivative(h, 0.2, 2) + 3.0 * math.cos(0.2)) <= 1e-6
+
+
 def test_test_function_takes_values_or_a_jet():
     with pytest.raises(ValueError):
         TestFunction(None, (0.0, 1.0))
