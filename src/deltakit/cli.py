@@ -88,9 +88,7 @@ def _json_text(payload):
 
 def _build_test_function(config):
     f = bump(*config.bump_knots)
-    if config.shift:
-        f = f.shifted(config.shift)
-    return f
+    return f.shifted(config.shift) if config.shift else f
 
 
 def cmd_pair(config):

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import EPS
+
 __all__ = ["QuadResult", "QuadratureError", "adaptive_quad", "anchored_primitive_values",
            "half_period_cap"]
 
@@ -51,13 +53,11 @@ KRONROD_WEIGHTS = np.concatenate([_WK_HALF, [_WK_CENTER], _WK_HALF[::-1]])
 GAUSS_WEIGHTS = np.zeros(15)
 GAUSS_WEIGHTS[1:14:2] = np.concatenate([_WG_HALF, [_WG_CENTER], _WG_HALF[::-1]])
 
-_EPS = float(np.finfo(float).eps)
-
 # Bisection rounds after which adaptive_quad stops refining.
 MAX_ROUNDS = 64
 
-# Kronrod nodes of the initial panels of one block of _quad_rows (2^14 nodes
-# keep fubini_square's temporaries within a few MB); a block holds >= 1 row.
+# Nodes per block of _quad_rows' initial panels (a block holds >= 1 row) and per
+# integrand call of anchored_primitive_values: temporaries get reused, not refaulted.
 ROW_BLOCK_NODES = 2 ** 14
 
 
@@ -202,7 +202,7 @@ def _refine_rows(f, first, stop, edges, tol, max_panels, sign):
             break
         count = np.bincount(row, minlength=stop)
         refine = ~(total <= tol) & (count < max_panels)
-        splittable = (hi - lo) > 16.0 * _EPS * np.maximum(1.0, np.abs(lo) + np.abs(hi))
+        splittable = (hi - lo) > 16.0 * EPS * np.maximum(1.0, np.abs(lo) + np.abs(hi))
         splittable &= refine[row]
         mask = (errs > tol / (2.0 * count[row])) & splittable
         # a row with nothing over its per-panel share splits its worst panel
@@ -257,7 +257,8 @@ def anchored_primitive_values(f, xs, *, tol=1e-10, max_panel=None, moments=1):
     idx = np.searchsorted(knots_fine, xs_arr.ravel())
 
     pts, hw = _panel_nodes(seg_lo, seg_hi)
-    fx = _call_integrand(f, pts)
+    step = ROW_BLOCK_NODES // NODES.size
+    fx = np.concatenate([_call_integrand(f, pts[i:i + step]) for i in range(0, len(pts), step)])
     for j in range(out.shape[0]):
         vals, errs = _panel_sums(fx * pts ** j if j else fx, pts, hw)
         moment = (lambda t, j=j: t ** j * f(t)) if j else f

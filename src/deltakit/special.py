@@ -118,9 +118,11 @@ def _si_chebyshev(ax):
     k = np.minimum((ax / math.pi).astype(np.intp), half.size - 1)
     t = (ax - left[k]) / half[k] - 1.0
     t2 = t + t
-    b1 = b2 = np.zeros_like(t)
+    b0, b1, b2 = np.empty_like(t), np.zeros_like(t), np.zeros_like(t)
     for row in coef[:0:-1]:
-        b1, b2 = row[k] + t2 * b1 - b2, b1
+        np.add(row.take(k), np.multiply(t2, b1, out=b0), out=b0)  # b_k in b_(k+2)'s buffer
+        b0 -= b2
+        b0, b1, b2 = b2, b0, b1
     return coef[0][k] + (t * b1 - b2)
 
 
@@ -156,8 +158,7 @@ def si(x):
     if small.any():
         out[small] = _si_chebyshev(ax[small])
     out *= sign
-    out = out.reshape(np.shape(arr))
-    return maybe_scalar(out, scalar)
+    return maybe_scalar(out.reshape(np.shape(arr)), scalar)
 
 
 def dirichlet_tail(x):
