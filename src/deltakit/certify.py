@@ -1,6 +1,6 @@
 """Named certificates: machine-checkable verdicts for the quantitative bounds.
 
-Each certificate runs one grid/quadrature check with its grid and tolerance
+Each certificate runs one sup/quadrature check with its points and tolerance
 pinned and returns a CertReport (pass/fail plus the measured numbers). Its
 positional parameters are exactly what `certify NAME --params` sets, in the
 same order, and are checked before any numeric work. The registry keys are the
@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import require_count, require_positive
-from .families import half_abs, lorentz_delta_n, sinc_kink, sinc_step
+from .families import half_abs, lorentz_delta_n, sinc_kink
 from .pairing import pair_lorentz
-from .seqdist import DEFAULT_GRID, check_zero_off_origin, lorentz_delta_seq
-from .special import dirichlet_tail, fubini_square, si, sinc_sq_integral
+from .seqdist import DEFAULT_GRID, check_zero_off_origin, lorentz_delta_seq, sinc_step_seq
+from .special import dirichlet_tail, fubini_square, si, si_half_pi_roots, sinc_sq_integral
 from .testfn import bump, difference_quotient
 
 __all__ = ["CertReport", "certificate_names", "run_certificate"]
@@ -33,26 +33,34 @@ class CertReport:
     details: dict = field(default_factory=dict)
 
 
+def _kink_sups(n_max, reach=5.0):
+    """n = 1..n_max, sup over |x| <= reach of |sinc_kink(n, x) - |x|/2|, and the roots used.
+
+    The error is E(n x)/n with E(u) = sinc_kink(1, u) - |u|/2, even, and E' = Si/pi - 1/2
+    on u > 0, so sup |E| on [0, reach n] sits at a root of Si = pi/2 or at reach n."""
+    ns = np.arange(1, n_max + 1)
+    roots = si_half_pi_roots(reach * n_max)
+    abs_e = lambda u: np.abs(sinc_kink(1.0, u) - half_abs(u))
+    peaks = np.maximum.accumulate(abs_e(roots))
+    last = np.searchsorted(roots, reach * ns, side="right") - 1  # u_1 < reach for every n >= 1
+    return ns, np.maximum(peaks[last], abs_e(reach * ns)) / ns, roots.size
+
+
 def _kink_uniform_bound(n_max=200):
-    """Smoothed kink vs |x|/2: sup error <= 2/(n pi) + slack for every n."""
+    """Smoothed kink vs |x|/2: sup error (exact, see _kink_sups) <= 2/(n pi) + slack."""
     n_max = require_count(n_max, "n_max")
     interval, slack = (-5.0, 5.0), 1e-9
-    xs = np.linspace(interval[0], interval[1], DEFAULT_GRID)
-    target = half_abs(xs)
-    rows = []
-    worst_margin = -math.inf
-    for n in range(1, n_max + 1):
-        sup = float(np.max(np.abs(sinc_kink(n, xs) - target)))
-        bound = 2.0 / (n * math.pi) + slack
-        rows.append((n, sup, bound))
-        worst_margin = max(worst_margin, sup - bound)
-    passed = worst_margin <= 0.0
+    ns, sups, points = _kink_sups(n_max, interval[1])
+    bounds = 2.0 / (ns * math.pi) + slack
+    worst_margin = float(np.max(sups - bounds))
+    step = max(1, n_max // 10)
     return CertReport(
-        "lemma4", passed,
+        "lemma4", worst_margin <= 0.0,
         f"max over n<={n_max} of (sup error - bound) = {worst_margin:.3e}",
-        {"n_max": n_max, "interval": list(interval), "grid": DEFAULT_GRID,
+        {"n_max": n_max, "interval": list(interval), "critical_points": points,
          "worst_margin": worst_margin,
-         "samples": [{"n": n, "sup_error": s, "bound": b} for n, s, b in rows[:: max(1, len(rows) // 10)]]})
+         "samples": [{"n": int(n), "sup_error": float(s), "bound": float(b)}
+                     for n, s, b in zip(ns[::step], sups[::step], bounds[::step])]})
 
 
 def _lorentz_rate_majorant(*eps):
@@ -92,9 +100,8 @@ def _zero_off_origin_lorentz(n_max=1000, a=0.5):
     """sup_{|x|>=a} of the Lorentz terms <= peak(a); at a=0.5 that is 4/(pi n)."""
     n_max, a = require_count(n_max, "n_max"), require_positive(a, "a")
     report = check_zero_off_origin(lorentz_delta_seq(), a, n_max=n_max)
-    passed = report.verdict
-    return CertReport("lemma6_lorentz", passed,
-                      f"sup_(|x|>={a}) |kernel_n| <= peak bound for n <= {n_max}: {passed}",
+    return CertReport("lemma6_lorentz", report.verdict,
+                      f"sup_(|x|>={a}) |kernel_n| <= peak bound for n <= {n_max}: {report.verdict}",
                       {"a": a, "n_max": n_max,
                        "last_sup": report.sup_errors[-1], "last_bound": lorentz_delta_n(n_max, a)})
 
@@ -102,15 +109,11 @@ def _zero_off_origin_lorentz(n_max=1000, a=0.5):
 def _zero_off_origin_step(n_max=1000, a=1.0):
     """|step_n(x) - sign(x)/2| <= 2/(pi n a) for |x| >= a."""
     n_max, a = require_count(n_max, "n_max"), require_positive(a, "a")
-    xs_pos = np.linspace(a, a + 5.0, DEFAULT_GRID // 2)
-    rows_ok = True
-    worst = -math.inf
-    for n in range(1, n_max + 1):
-        sup = float(np.max(np.abs(sinc_step(n, xs_pos) - 0.5)))
-        bound = 2.0 / (math.pi * n * a)
-        worst = max(worst, sup - bound)
-        rows_ok = rows_ok and sup <= bound + 1e-12
-    return CertReport("lemma6_theta", rows_ok,
+    seq = sinc_step_seq()
+    report = check_zero_off_origin(seq, a, n_max=n_max)
+    bounds = seq.off_origin.bound(np.asarray(report.n_values), a)
+    worst = float(np.max(np.asarray(report.sup_errors) - bounds))
+    return CertReport("lemma6_theta", report.verdict,
                       f"max over n<={n_max} of (sup step error - 2/(pi n a)) = {worst:.3e}",
                       {"a": a, "n_max": n_max, "worst_margin": worst})
 

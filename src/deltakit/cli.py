@@ -32,6 +32,7 @@ from .testfn import bump, mollifier, smooth_step_down, smooth_step_up
 __all__ = ["main", "RunConfig"]
 
 _FLOAT_FMT = "%.17g"
+_FAMILY_FIGURES = {3: sinc_delta, 4: sinc_step, 6: sinc_kink, 7: lorentz_delta_n}
 
 
 @dataclasses.dataclass
@@ -166,20 +167,11 @@ def _figure_rows(config):
         nz = xs[np.abs(xs) > 0]
         add_series("envelope_upper", 1.0 / (math.pi * np.abs(nz)), nz)
         add_series("envelope_lower", -1.0 / (math.pi * np.abs(nz)), nz)
-    elif fig == 3:
+    elif fig in _FAMILY_FIGURES:  # members n = 1..5 of one family
         for n in range(1, 6):
-            add_series(f"n={n}", sinc_delta(n, xs))
-    elif fig == 4:
-        for n in range(1, 6):
-            add_series(f"n={n}", sinc_step(n, xs))
+            add_series(f"n={n}", _FAMILY_FIGURES[fig](n, xs))
     elif fig == 5:
         add_series("step_180", sinc_step(180, xs))
-    elif fig == 6:
-        for n in range(1, 6):
-            add_series(f"n={n}", sinc_kink(n, xs))
-    elif fig == 7:
-        for n in range(1, 6):
-            add_series(f"n={n}", lorentz_delta_n(n, xs))
     elif fig == 8:
         add_series("f_1", mollifier(xs - 1.0))
         add_series("g_2", mollifier(2.0 - xs))

@@ -17,11 +17,11 @@ from typing import Callable
 import numpy as np
 
 from ._util import require_count, require_positive
-from .families import (half_abs, half_step, lorentz_delta_n,
-                       lorentz_delta_prime, lorentz_kink, lorentz_step,
-                       sinc_delta, sinc_delta_prime, sinc_kink, sinc_step)
+from .families import (half_abs, lorentz_delta_n, lorentz_delta_prime, lorentz_kink,
+                       lorentz_step, sinc_delta, sinc_delta_prime, sinc_kink, sinc_step)
 from .pairing import extrapolate_limit
 from .quadrature import adaptive_quad, anchored_primitive_values, half_period_cap
+from .special import si
 from .testfn import MAX_DERIVATIVE_ORDER, Interval, derivative
 
 __all__ = [
@@ -39,6 +39,7 @@ __all__ = [
     "seq_derivative",
     "pair_by_parts",
     "check_zero_off_origin",
+    "grid_sup",
 ]
 
 DEFAULT_GRID = 2001
@@ -68,13 +69,13 @@ class GridReport:
 class OffOriginBound:
     """What check_zero_off_origin measures on |x| >= a, and the bound it must obey.
 
-    quantity(n, x) is the function whose sup over the grid is reported;
-    bound(n, a) must hold for every n (to 1e-12), and the last sup must also
-    lie within max(OFF_ORIGIN_TOL, bound). With bound None only the last sup
-    is checked, against OFF_ORIGIN_TOL. text is reported as GridReport.bound_used.
+    sup(ns, lo, hi) is the measured sup over lo <= |x| <= hi for each n in ns
+    (grid_sup samples one); bound(ns, a) must hold for every n (to 1e-12), and
+    the last sup must also lie within max(OFF_ORIGIN_TOL, bound), or, with bound
+    None, within OFF_ORIGIN_TOL. text is reported as GridReport.bound_used.
     """
 
-    quantity: Callable
+    sup: Callable
     bound: Callable | None
     text: str
 
@@ -102,7 +103,8 @@ class FundamentalSeq:
         self.limit_of_primitives = limit_of_primitives
         self.term_derivative = term_derivative
         self.label = label
-        self.off_origin = off_origin or OffOriginBound(term, None, "sup |term(n, x)| below tol")
+        self.off_origin = off_origin or OffOriginBound(grid_sup(term), None,
+                                                       "sup |term(n, x)| below tol")
         self.panel_hint = panel_hint
         if self.primitive_order < 0:
             raise ValueError("primitive_order must be >= 0")
@@ -137,11 +139,29 @@ class FundamentalSeq:
         return (x ** (m - 1) * moments[0] + lifted) / math.factorial(m - 1)
 
 
+def grid_sup(quantity):
+    """A sampled OffOriginBound.sup, only a lower bound: max |quantity(n, x)|
+    over DEFAULT_GRID // 2 evenly spaced |x| in [lo, hi], on both sides of 0."""
+    def sup(ns, lo, hi):
+        xs = np.linspace(lo, hi, DEFAULT_GRID // 2)
+        xs = np.concatenate([-xs[::-1], xs])
+        return [np.max(np.abs(quantity(int(n), xs))) for n in ns]
+    return sup
+
+
+def _dirichlet_tail_sup(ns, lo, hi):
+    """Per n, the sup of |Si(n x)/pi - 1/2| on [lo, hi]: at n lo, n hi or the first m pi
+    between, as Si is monotone between its extrema k pi and |Si(k pi) - pi/2| falls in k."""
+    lo_u, hi_u = ns * lo, ns * hi
+    u = np.stack([lo_u, hi_u, np.clip(np.ceil(lo_u / math.pi) * math.pi, lo_u, hi_u)])
+    return np.max(np.abs(si(u) / math.pi - 0.5), axis=0)
+
+
 # The truncated-spectrum terms oscillate without decay off the origin, so
 # their smoothed half-steps are held against the exact step instead.
 _DIRICHLET_TAIL = OffOriginBound(
-    quantity=lambda n, x: sinc_step(n, x) - half_step(x),
-    bound=lambda n, a: 2.0 / (math.pi * n * a),
+    sup=_dirichlet_tail_sup,
+    bound=lambda ns, a: 2.0 / (math.pi * ns * a),
     text="Dirichlet tail bound 2/(pi n a) on |step_n - step|")
 
 
@@ -171,21 +191,22 @@ def sinc_step_seq():
 
 def lorentz_delta_seq():
     """The Lorentz delta sequence (eps = 1/n view) with its closed tower."""
+    peak = lambda ns, a: (1.0 / ns / math.pi) / (a * a + (1.0 / ns) ** 2)  # lorentz_delta_n(ns, a)
     return FundamentalSeq(
         term=lorentz_delta_n, primitive_order=2,
         primitives=(lorentz_step, lorentz_kink),
         limit_of_primitives=half_abs,
         term_derivative=lorentz_delta_prime,
         label="lorentz",
-        # the kernel decreases away from 0, so its peak on |x| >= a is at a
-        off_origin=OffOriginBound(lorentz_delta_n, lorentz_delta_n,
+        # the kernel decreases away from 0, so its sup on |x| >= a is its peak at a
+        off_origin=OffOriginBound(lambda ns, lo, hi: peak(ns, lo), peak,
                                   "peak value of the kernel at |x| = a"))
 
 
 def zero_seq():
-    """The constant zero sequence (k = 0)."""
+    """The constant zero sequence (k = 0); every anchored primitive is zero too."""
     zero = lambda n, x: np.zeros_like(np.asarray(x, dtype=float))
-    return FundamentalSeq(term=zero, primitive_order=0,
+    return FundamentalSeq(term=zero, primitive_order=0, primitives=(zero,) * MAX_DERIVATIVE_ORDER,
                           limit_of_primitives=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
                           term_derivative=zero, label="zero")
 
@@ -221,9 +242,11 @@ def _grid(interval):
 
 def _tail_diameters(values):
     """cauchy_tail[i] = sup-grid diameter over members with index >= i."""
-    rev_max = np.maximum.accumulate(values[::-1], axis=0)[::-1]
-    rev_min = np.minimum.accumulate(values[::-1], axis=0)[::-1]
-    return np.max(rev_max - rev_min, axis=1)
+    hi, lo = values[-1].copy(), values[-1].copy()  # the tail's running max and min
+    out = np.empty(len(values))
+    for i in range(len(values) - 1, -1, -1):
+        out[i] = np.max(np.maximum(hi, values[i], out=hi) - np.minimum(lo, values[i], out=lo))
+    return out
 
 
 def check_fundamental(seq, interval=(-5.0, 5.0), n_max=50, tol=1e-2, *, order=None):
@@ -280,17 +303,12 @@ def check_equivalent(a, b, interval=(-5.0, 5.0), n_max=50, tol=1e-2):
     iv, xs = _grid(interval)
     k = max(a.primitive_order, b.primitive_order)
     ns = np.arange(1, n_max + 1)
-    sup_diffs = []
-    for n in ns:
-        va = np.asarray(a.primitive(k, int(n), xs), dtype=float)
-        vb = np.asarray(b.primitive(k, int(n), xs), dtype=float)
-        sup_diffs.append(float(np.max(np.abs(va - vb))))
-    sup_diffs = np.asarray(sup_diffs)
+    level_k = lambda seq, n: np.asarray(seq.primitive(k, int(n), xs), dtype=float)
+    sup_diffs = np.array([np.max(np.abs(level_k(a, n) - level_k(b, n))) for n in ns])
     decreasing = sup_diffs[-1] <= sup_diffs[0] or sup_diffs[0] <= tol
     verdict = bool(sup_diffs[-1] <= tol and decreasing)
     return GridReport(interval=(iv.lo, iv.hi), n_values=tuple(int(n) for n in ns),
-                      sup_errors=tuple(sup_diffs),
-                      verdict=verdict,
+                      sup_errors=tuple(sup_diffs), verdict=verdict,
                       bound_used=f"sup |primitive_{k}(a) - primitive_{k}(b)| on grid",
                       tol=float(tol))
 
@@ -356,21 +374,14 @@ def check_zero_off_origin(seq, a, n_max=100):
     """
     a = require_positive(a, "a")
     n_max = require_count(n_max, "n_max")
-    xs_pos = np.linspace(a, a + OFF_ORIGIN_REACH, DEFAULT_GRID // 2)
-    xs = np.concatenate([-xs_pos[::-1], xs_pos])
     ns = np.arange(1, n_max + 1)
-
     off = seq.off_origin
-    sup_errors = []
-    ok = True
-    for n in ns:
-        sup_val = float(np.max(np.abs(off.quantity(int(n), xs))))
-        sup_errors.append(sup_val)
-        if off.bound is not None:
-            ok = ok and sup_val <= float(off.bound(int(n), a)) + 1e-12
-    last_bound = float(off.bound(int(ns[-1]), a)) if off.bound is not None else 0.0
-    verdict = ok and sup_errors[-1] <= max(OFF_ORIGIN_TOL, last_bound)
-
+    sups = np.asarray(off.sup(ns, a, a + OFF_ORIGIN_REACH), dtype=float)
+    ok, last_bound = True, 0.0
+    if off.bound is not None:
+        bounds = off.bound(ns, a)
+        ok, last_bound = bool(np.all(sups <= bounds + 1e-12)), float(bounds[-1])
+    verdict = ok and sups[-1] <= max(OFF_ORIGIN_TOL, last_bound)
     return GridReport(interval=(a, a + OFF_ORIGIN_REACH), n_values=tuple(int(n) for n in ns),
-                      sup_errors=tuple(sup_errors),
+                      sup_errors=tuple(float(s) for s in sups),
                       verdict=bool(verdict), bound_used=off.text, tol=OFF_ORIGIN_TOL)

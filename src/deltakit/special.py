@@ -19,12 +19,15 @@ import numpy as np
 from ._util import as_float_array, maybe_scalar, require_positive
 from .quadrature import QuadResult, _quad_rows, adaptive_quad
 
-__all__ = ["si", "dirichlet_tail", "sinc_sq_integral", "fubini_square"]
+__all__ = ["si", "si_half_pi_roots", "dirichlet_tail", "sinc_sq_integral", "fubini_square"]
 
 HALF_PI = 0.5 * math.pi
 
 # Removable singularities are evaluated by series below this threshold.
 _SERIES_CUTOFF = 1e-4
+
+# sinc_prime's series below |t| = 1 (coefficient k of t^(2k-1), highest k first)
+_SINC_PRIME_SERIES = tuple((-1) ** k * 2 * k / math.factorial(2 * k + 1) for k in range(9, 0, -1))
 
 # Chebyshev/asymptotic switch for si. The asymptotic pair truncated after
 # the 1/x^9 and 1/x^10 terms is accurate to ~5e-16 at x = 100.
@@ -59,13 +62,12 @@ def sinc(t):
 
 
 def sinc_prime(t):
-    """d/dt [sin(t)/t] = (cos(t) - sinc(t))/t, series-evaluated near 0."""
+    """d/dt [sin(t)/t] = (cos(t) - sinc(t))/t, series-evaluated for |t| < 1."""
     arr, scalar = as_float_array(t)
-    small = np.abs(arr) < 1e-2
+    small = np.abs(arr) < 1.0  # above 1 the closed form cancels to < 2e-16
     safe = np.where(small, 1.0, arr)
-    t2 = arr * arr
-    series = arr * (-1.0 / 3.0 + t2 / 30.0 - t2 * t2 / 840.0)
-    out = np.where(small, series, (np.cos(safe) - np.sin(safe) / safe) / safe)
+    out = np.asarray((np.cos(safe) - np.sin(safe) / safe) / safe)  # 0-d for a scalar
+    out[small] = arr[small] * np.polyval(_SINC_PRIME_SERIES, arr[small] ** 2)  # Horner in t^2
     return maybe_scalar(out, scalar)
 
 
@@ -159,6 +161,19 @@ def si(x):
         out[small] = _si_chebyshev(ax[small])
     out *= sign
     return maybe_scalar(out.reshape(np.shape(arr)), scalar)
+
+
+def si_half_pi_roots(upper):
+    """The roots of Si(u) = pi/2 in (0, upper], one per half-period (k pi, (k+1) pi).
+
+    u_1 = 1.9264. Each is 8 Newton steps from pi/2 + k pi, with sinc as Si'. Raises
+    ArithmeticError if a root leaves its half-period or |si(u) - pi/2| > 1e-15."""
+    u = mid = HALF_PI + np.arange(int(float(upper) // math.pi) + 1) * math.pi
+    for _ in range(8):
+        u = u - (si(u) - HALF_PI) / sinc(u)
+    if np.any(np.abs(u - mid) >= HALF_PI) or np.any(np.abs(si(u) - HALF_PI) > 1e-15):
+        raise ArithmeticError("Newton on Si(u) = pi/2 left a half-period or missed its residual")
+    return u[u <= upper]
 
 
 def dirichlet_tail(x):

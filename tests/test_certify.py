@@ -1,0 +1,70 @@
+"""Exact sups of the sinc-family certificates against sampled ones.
+
+A sup taken on grid points is a lower bound of the true sup. If |g''| <= M2
+on every cell of a grid of spacing h, the true sup of |g| is at most the
+grid's sup plus M2 h^2 / 8 (the linear-interpolation error). So an exact sup
+must lie between the old 2001-point grid sup and a fine grid's sup plus
+M2 h^2 / 8; 1e-15 covers the rounding of the two evaluations.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from deltakit import (check_zero_off_origin, lorentz_delta_n, lorentz_delta_seq,
+                      run_certificate, sinc_kink, sinc_step, sinc_step_seq)
+from deltakit.certify import _kink_sups
+from deltakit.seqdist import grid_sup
+
+
+def _grid_sup(values):
+    return float(np.max(np.abs(values)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 50, 200, 998, 1000])
+def test_lemma4_sup_lies_between_the_grid_and_its_interpolation_bound(n):
+    ns, sups, _ = _kink_sups(1000)
+    exact = sups[n - 1]
+    old = np.linspace(-5.0, 5.0, 2001)
+    assert exact >= _grid_sup(sinc_kink(n, old) - 0.5 * np.abs(old)) - 1e-15
+    fine, h = np.linspace(0.0, 5.0, 200_001, retstep=True)
+    assert exact <= _grid_sup(sinc_kink(n, fine) - 0.5 * fine) + (n / math.pi) * h * h / 8 + 1e-15
+
+
+@pytest.mark.parametrize("n, a", [(1, 0.3), (200, 1.0), (1900, 1.2)])
+def test_dirichlet_sup_lies_between_the_grid_and_its_interpolation_bound(n, a):
+    exact = sinc_step_seq().off_origin.sup(np.array([n]), a, a + 5.0)[0]
+    old = np.linspace(a, a + 5.0, 1000)
+    assert exact >= _grid_sup(sinc_step(n, old) - 0.5) - 1e-15
+    fine, h = np.linspace(a, a + 5.0, 2_000_001, retstep=True)
+    assert exact <= _grid_sup(sinc_step(n, fine) - 0.5) + (n * n / math.pi) * h * h / 8 + 1e-15
+
+
+def test_lemma4_sup_is_the_same_fraction_of_the_bound_for_every_n():
+    ns, sups, points = _kink_sups(1000)
+    assert np.all(np.round(sups * ns / (2.0 / math.pi), 5) == 0.67410)
+    assert abs(sups[-1] - 4.291457e-4) <= 1e-9  # a 2M-point grid on [0, 5] reads 4.291456e-4
+    assert points == 1592  # the roots of Si = pi/2 below 5000
+    details = run_certificate("lemma4", 1000).details
+    assert details["critical_points"] == points
+    assert details["samples"][-1] == {"n": 901, "sup_error": sups[900],
+                                      "bound": 2.0 / (901 * math.pi) + 1e-9}
+
+
+def test_lemma6_theta_wraps_the_off_origin_check():
+    cert = run_certificate("lemma6_theta", 300, 0.7)
+    report = check_zero_off_origin(sinc_step_seq(), 0.7, n_max=300)
+    ns = np.arange(1, 301)
+    assert cert.passed == report.verdict
+    assert cert.details["worst_margin"] == np.max(np.asarray(report.sup_errors)
+                                                  - 2.0 / (math.pi * ns * 0.7))
+
+
+@pytest.mark.parametrize("a", [0.25, 0.5, 0.7371, 1.0])
+def test_lorentz_sup_is_the_kernel_at_a_bit_for_bit(a):
+    sups = check_zero_off_origin(lorentz_delta_seq(), a, n_max=5200).sup_errors
+    assert sups == tuple(lorentz_delta_n(n, a) for n in range(1, 5201))
+    # and the same as the grid's sup, which contains |x| = a
+    ns = np.arange(1, 301)
+    assert sups[:300] == tuple(float(s) for s in grid_sup(lorentz_delta_n)(ns, a, a + 5.0))

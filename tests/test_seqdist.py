@@ -11,6 +11,8 @@ from deltakit import (FundamentalSeq, bump, check_equivalent,
                       derivative, lorentz_delta_seq, pair_by_parts,
                       scaled_cos_seq, seq_derivative, sinc_delta, sinc_delta_seq,
                       sinc_step_seq, zero_seq)
+from deltakit import seqdist
+from deltakit.testfn import MAX_DERIVATIVE_ORDER
 
 
 def test_tower_consistency():
@@ -213,3 +215,50 @@ def test_zero_off_origin_trivial_and_validation():
             check_fundamental(zero_seq(), (-1.0, 1.0), n_max=n_max)
         with pytest.raises(ValueError):
             check_equivalent(zero_seq(), zero_seq(), (-1.0, 1.0), n_max=n_max)
+
+
+def _two_accumulate_tail_diameters(values):
+    rev_max = np.maximum.accumulate(values[::-1], axis=0)[::-1]
+    rev_min = np.minimum.accumulate(values[::-1], axis=0)[::-1]
+    return np.max(rev_max - rev_min, axis=1)
+
+
+@pytest.mark.parametrize("shape", [(1, 7), (2, 1), (50, 2001), (100, 33)])
+def test_tail_diameters_match_the_two_accumulate_formula(shape):
+    rng = np.random.default_rng(sum(shape))
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+    values[rng.random(shape) < 0.05] = np.inf
+    values[rng.random(shape) < 0.05] = -np.inf
+    values[-1, 0] = np.inf  # a column whose last member alone is +inf
+    with np.errstate(invalid="ignore"):  # inf - inf in a column that stays at +inf
+        want = _two_accumulate_tail_diameters(values)
+        got = seqdist._tail_diameters(values)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_zero_seq_lifts_nothing(monkeypatch):
+    zero = lambda n, x: np.zeros_like(np.asarray(x, dtype=float))
+    bare = FundamentalSeq(term=zero, primitive_order=0, limit_of_primitives=lambda x: zero(0, x),
+                          term_derivative=zero, label="zero")
+    want = [check_equivalent(scaled_cos_seq(), bare, iv, n_max=50, tol=0.05)
+            for iv in ((-5.0, 5.0), (-3.3, 4.1))]
+
+    def lifted(*args, **kwargs):
+        raise AssertionError("zero_seq lifted a primitive numerically")
+
+    monkeypatch.setattr(seqdist, "anchored_primitive_values", lifted)
+    got = [check_equivalent(scaled_cos_seq(), zero_seq(), iv, n_max=50, tol=0.05)
+           for iv in ((-5.0, 5.0), (-3.3, 4.1))]
+    assert got == want
+    assert all(zero_seq().primitive(k, 3, np.ones(4)).tolist() == [0.0] * 4
+               for k in range(MAX_DERIVATIVE_ORDER + 1))
+
+
+def test_off_origin_grid_sup_keeps_the_per_n_loop():
+    # sequences without a closed sup are sampled exactly as before
+    term = lambda n, x: np.exp(-n * np.abs(x)) / n
+    seq = FundamentalSeq(term=term, primitive_order=0)
+    xs = np.linspace(0.37, 5.37, 1000)
+    xs = np.concatenate([-xs[::-1], xs])
+    want = tuple(float(np.max(np.abs(term(n, xs)))) for n in range(1, 41))
+    assert check_zero_off_origin(seq, 0.37, n_max=40).sup_errors == want

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from _si_grid import SEAMS, si_grid
 from numpy.testing import assert_allclose
 
-from deltakit import dirichlet_tail, fubini_square, si, sinc_sq_integral, sinc_step
+from deltakit import dirichlet_tail, fubini_square, si, sinc_sq_integral, sinc_step, special
+from deltakit.special import si_half_pi_roots
 
 # QUADPACK oracle values (see tests/_oracles.py), double-checked with mpmath
 SI_PI = 1.8519370519824663
@@ -143,3 +144,19 @@ def test_parts_identity_spot():
     for u in (0.5, 3.0, 12.0, 40.0):
         head = (1.0 - math.cos(u)) / u
         assert_allclose(si(u), head + sinc_sq_integral(0.0, u / 2), atol=1e-10, rtol=0)
+
+
+def test_si_half_pi_roots_come_one_per_half_period():
+    roots = si_half_pi_roots(5000.0)
+    assert np.array_equal(np.floor(roots / math.pi), np.arange(roots.size))
+    assert roots[-1] <= 5000.0 < si_half_pi_roots(5000.0 + math.pi)[-1]
+    assert abs(roots[0] - 1.9264476603173706) <= 1e-15
+    assert np.max(np.abs(si(roots) - math.pi / 2)) <= 1e-15
+    assert si_half_pi_roots(1.9).size == 0 and si_half_pi_roots(1.93).size == 1
+
+
+def test_si_half_pi_roots_raise_when_newton_misses(monkeypatch):
+    # a derivative ten times too large leaves Newton far short of the roots
+    monkeypatch.setattr(special, "sinc", lambda t: 10.0 * np.sinc(np.asarray(t) / math.pi))
+    with pytest.raises(ArithmeticError):
+        si_half_pi_roots(100.0)

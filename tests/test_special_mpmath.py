@@ -36,12 +36,14 @@ def test_si_matches_mpmath_past_the_switch():
 
 
 
-# sinc_prime takes its series below |t| = 1e-2 and the closed form
-# (cos t - sinc t)/t from there on
-_SWITCH = 1e-2
-_NEAR_SWITCH = [0.0] + [s * t for s in (1.0, -1.0)
-                        for t in (math.nextafter(_SWITCH, 0.0), _SWITCH,
-                                  math.nextafter(_SWITCH, 1.0))]
+# sinc_prime sums its series below |t| = 1 and takes the closed form
+# (cos t - sinc t)/t from there on; 1e-2 was the switch before
+_SWITCHES = (1.0, 1e-2)
+_NEAR_SWITCH = [0.0] + [s * t for s in (1.0, -1.0) for switch in _SWITCHES
+                        for t in (math.nextafter(switch, 0.0), switch,
+                                  math.nextafter(switch, 2.0))]
+_SWEEP = np.concatenate([np.linspace(0.0, 4.0, 801), _NEAR_SWITCH,
+                         np.linspace(0.9, 1.1, 41), [0.010331]])
 
 
 def _mp_diff(fn, x):
@@ -50,15 +52,16 @@ def _mp_diff(fn, x):
 
 
 def test_sinc_derivatives_match_mpmath_across_the_series_switch():
-    # 2e-14 is the closed form's cancellation bound ulp(1)/t at the switch; a
-    # dropped series term would be off by t^5/840 = 1.2e-13 there
-    for t in _NEAR_SWITCH:
-        assert abs(sinc_prime(t) - _mp_diff(mpmath.sinc, t)) <= 2e-14, t
+    # both sides of the switch stay at rounding: the closed form cancelled
+    # to 1.8e-14 just above the old switch 1e-2, and without its t^15 term
+    # the series would be off by 16/17! = 4.5e-14 at the switch
+    err = np.array([abs(sinc_prime(t) - _mp_diff(mpmath.sinc, t)) for t in _SWEEP])
+    assert err.max() <= 1e-15, (_SWEEP[err.argmax()], err.max())
     for r in (1.0, 7.0):
         kernel = lambda y: r / mpmath.pi * mpmath.sinc(r * y)
         for t in _NEAR_SWITCH:
             err = abs(sinc_delta_prime(r, t / r) - _mp_diff(kernel, t / r))
-            assert err <= 2e-14 * r * r / math.pi, (r, t)
+            assert err <= 1e-15 * r * r / math.pi, (r, t)
 
 
 def test_lorentz_delta_prime_matches_mpmath():
@@ -67,3 +70,40 @@ def test_lorentz_delta_prime_matches_mpmath():
         for t in _NEAR_SWITCH + [0.3, -2.5, 7.0]:
             want = _mp_diff(kernel, t / n)
             assert abs(lorentz_delta_prime(n, t / n) - want) <= 1e-15 * abs(want), (n, t)
+
+
+def _iv_si(x):
+    """Interval enclosure of Si(x) for a float 0 < x <= 2 from its Taylor series.
+
+    The terms x^(2k+1)/((2k+1) (2k+1)!) alternate and decrease for x <= 2, so
+    the first omitted term bounds the remainder.
+    """
+    iv = mpmath.iv
+    x = iv.mpf(x)
+    total, term = iv.mpf(0), x  # term = x^(2k+1)/(2k+1)!
+    for k in range(30):
+        total += (-1) ** k * term / (2 * k + 1)
+        term = term * x * x / ((2 * k + 2) * (2 * k + 3))
+    return total + iv.mpf([-1, 1]) * term / 61
+
+
+def test_first_root_and_the_kink_sup_are_enclosed():
+    from deltakit.certify import _kink_sups
+    from deltakit.special import si_half_pi_roots
+
+    iv = mpmath.iv
+    u1 = float(si_half_pi_roots(2.0)[0])
+    lo, hi = u1 - 8 * np.spacing(u1), u1 + 8 * np.spacing(u1)
+    dps, iv.dps = iv.dps, 40
+    try:
+        half_pi = iv.pi / 2
+        # Si increases on (0, pi): the root of Si = pi/2 lies in [lo, hi]
+        assert (_iv_si(lo) - half_pi).b < 0 < (_iv_si(hi) - half_pi).a
+        # there Si = pi/2, so |E(u_1)| = (1 - cos u_1)/pi
+        peak = (1 - iv.cos(iv.mpf([lo, hi]))) / iv.pi
+    finally:
+        iv.dps = dps
+    assert float(peak.b) - float(peak.a) <= 2e-15
+    # n = 1: the sup over [-5, 5] is |E(u_1)|; rounding stays uncovered
+    sup = _kink_sups(1)[1][0]
+    assert float(peak.a) - 1e-15 <= sup <= float(peak.b) + 1e-15
