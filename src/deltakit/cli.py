@@ -9,8 +9,9 @@ signature names.
 Exit codes: 0 all checks pass, 1 a tolerance/bound failed, 2 configuration
 error, including a flag the subcommand does not take and --params values a
 certificate cannot run on or has no place for. Output is deterministic
-byte-for-byte for a fixed configuration (pairing sums panels in a fixed order;
-floats are printed with 17 significant digits).
+byte-for-byte for a fixed configuration (pairing sums panels in a fixed order).
+CSV prints floats with 17 significant digits; JSON prints the shortest repr
+that round-trips.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .testfn import bump, mollifier, smooth_step_down, smooth_step_up
 
 __all__ = ["main", "RunConfig"]
 
-_FLOAT_FMT = "%.17g"
 _FAMILY_FIGURES = {3: sinc_delta, 4: sinc_step, 6: sinc_kink, 7: lorentz_delta_n}
 
 
@@ -50,10 +50,6 @@ class RunConfig:
     output_path: str | None = None
     format: str = "json"
 
-    def echo(self):
-        d = dataclasses.asdict(self)
-        return {k: (list(v) if isinstance(v, tuple) else v) for k, v in d.items()}
-
 
 def _parse_floats(text, name, parser, expected=None):
     try:
@@ -67,10 +63,6 @@ def _parse_floats(text, name, parser, expected=None):
     if expected is not None and len(values) != expected:
         parser.error(f"--{name} expects exactly {expected} numbers, got {len(values)}")
     return values
-
-
-def _fmt(x):
-    return _FLOAT_FMT % float(x)
 
 
 def _emit(text, path):
@@ -108,7 +100,7 @@ def cmd_pair(config):
     passed = limit_error <= config.tolerance and all(r.converged for r in results)
     payload = {
         "command": "pair",
-        "config": config.echo(),
+        "config": dataclasses.asdict(config),
         "results": [{"param": p, "value": r.value,
                      "abs_error_estimate": r.abs_error_estimate}
                     for p, r in zip(config.params, results)],
@@ -119,9 +111,9 @@ def cmd_pair(config):
     }
     if config.format == "csv":
         lines = ["param,value,abs_error_estimate"]
-        lines += [f"{_fmt(p)},{_fmt(r.value)},{_fmt(r.abs_error_estimate)}"
+        lines += ["%.17g,%.17g,%.17g" % (p, r.value, r.abs_error_estimate)
                   for p, r in zip(config.params, results)]
-        lines.append(f"limit,{_fmt(limit)},{_fmt(limit_error)}")
+        lines.append("limit,%.17g,%.17g" % (limit, limit_error))
         _emit("\n".join(lines) + "\n", config.output_path)
     else:
         _emit(_json_text(payload), config.output_path)
@@ -135,7 +127,7 @@ def cmd_certify(config, parser):
         parser.error(f"--params of {config.certificate}: {exc}")
     payload = {
         "command": "certify",
-        "config": config.echo(),
+        "config": dataclasses.asdict(config),
         "results": [{"certificate": report.name, "summary": report.summary,
                      "details": report.details}],
         "verdict": "pass" if report.passed else "fail",
@@ -149,54 +141,45 @@ def cmd_certify(config, parser):
     return 0 if report.passed else 1
 
 
-def _figure_rows(config):
+def _figure_series(config):
+    """The figure's data as (label, points, values) arrays, one triple per series."""
     lo, hi = config.interval
     xs = np.linspace(lo, hi, config.grid)
     fig = config.fig
-    rows = []
-
-    def add_series(label, values, points=xs):
-        rows.extend((x, v, label) for x, v in zip(points, values))
-
     if fig == 1:
         # surface over integer cutoffs; series label carries the parameter
-        for r in range(1, 21):
-            add_series(f"R={r}", sinc_delta(r, xs))
-    elif fig == 2:
-        add_series("delta_180", sinc_delta(180, xs))
+        return [(f"R={r}", xs, sinc_delta(r, xs)) for r in range(1, 21)]
+    if fig == 2:
         nz = xs[np.abs(xs) > 0]
-        add_series("envelope_upper", 1.0 / (math.pi * np.abs(nz)), nz)
-        add_series("envelope_lower", -1.0 / (math.pi * np.abs(nz)), nz)
-    elif fig in _FAMILY_FIGURES:  # members n = 1..5 of one family
-        for n in range(1, 6):
-            add_series(f"n={n}", _FAMILY_FIGURES[fig](n, xs))
-    elif fig == 5:
-        add_series("step_180", sinc_step(180, xs))
-    elif fig == 8:
-        add_series("f_1", mollifier(xs - 1.0))
-        add_series("g_2", mollifier(2.0 - xs))
-    elif fig == 9:
-        up = smooth_step_up(1.0, 2.0)
-        down = smooth_step_down(3.0, 4.0)
-        add_series("F_12", up(xs))
-        add_series("G_34", down(xs))
-        add_series("product", up(xs) * down(xs))
-    return rows
+        return [("delta_180", xs, sinc_delta(180, xs)),
+                ("envelope_upper", nz, 1.0 / (math.pi * np.abs(nz))),
+                ("envelope_lower", nz, -1.0 / (math.pi * np.abs(nz)))]
+    if fig in _FAMILY_FIGURES:  # members n = 1..5 of one family
+        return [(f"n={n}", xs, _FAMILY_FIGURES[fig](n, xs)) for n in range(1, 6)]
+    if fig == 5:
+        return [("step_180", xs, sinc_step(180, xs))]
+    if fig == 8:
+        return [("f_1", xs, mollifier(xs - 1.0)), ("g_2", xs, mollifier(2.0 - xs))]
+    up, down = smooth_step_up(1.0, 2.0), smooth_step_down(3.0, 4.0)  # fig 9
+    return [("F_12", xs, up(xs)), ("G_34", xs, down(xs)), ("product", xs, up(xs) * down(xs))]
 
 
 def cmd_figure(config):
-    rows = _figure_rows(config)
+    series = [(label, points.tolist(), values.tolist())
+              for label, points, values in _figure_series(config)]
     if config.format == "json":
         payload = {
             "command": "figure",
-            "config": config.echo(),
-            "results": [{"x": x, "value": float(v), "series": s} for x, v, s in rows],
+            "config": dataclasses.asdict(config),
+            "results": [{"x": x, "value": v, "series": label}
+                        for label, points, values in series for x, v in zip(points, values)],
             "verdict": "pass",
         }
         _emit(_json_text(payload), config.output_path)
     else:
         lines = ["x,value,series"]
-        lines += [f"{_fmt(x)},{_fmt(v)},{s}" for x, v, s in rows]
+        lines += ["%.17g,%.17g,%s" % (x, v, label)
+                  for label, points, values in series for x, v in zip(points, values)]
         path = config.output_path or f"fig{config.fig}.csv"
         _emit("\n".join(lines) + "\n", path)
     return 0

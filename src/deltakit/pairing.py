@@ -158,6 +158,8 @@ def extrapolate_limit(samples, mode="inverse_param"):
         raise ValueError("params must be strictly monotone")
 
     if mode == "inverse_param":
+        if np.any(params == 0.0):
+            raise ValueError("inverse_param mode requires nonzero params")
         regressor = 1.0 / params
     elif mode == "log_corrected":
         if np.any(params <= 0.0):

@@ -10,6 +10,7 @@ on the intervals supplied, which is the unavoidable finite truncation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -308,7 +309,7 @@ def check_equivalent(a, b, interval=(-5.0, 5.0), n_max=50, tol=1e-2):
     decreasing = sup_diffs[-1] <= sup_diffs[0] or sup_diffs[0] <= tol
     verdict = bool(sup_diffs[-1] <= tol and decreasing)
     return GridReport(interval=(iv.lo, iv.hi), n_values=tuple(int(n) for n in ns),
-                      sup_errors=tuple(sup_diffs), verdict=verdict,
+                      sup_errors=tuple(float(d) for d in sup_diffs), verdict=verdict,
                       bound_used=f"sup |primitive_{k}(a) - primitive_{k}(b)| on grid",
                       tol=float(tol))
 
@@ -349,20 +350,15 @@ def pair_by_parts(seq, f):
     support = Interval.coerce(f.support)
     fk = f if k == 0 else (lambda x: derivative(f, x, k))
     sign = -1.0 if k % 2 else 1.0
-
-    if seq.limit_of_primitives is not None:
-        phi = seq.limit_of_primitives
-        res = adaptive_quad(lambda x: np.asarray(phi(x), dtype=float) * np.asarray(fk(x), dtype=float),
-                            support.lo, support.hi, tol=PARTS_TOL, breakpoints=(0.0,))
-        return sign * res.value
-
-    samples = []
-    for n in PARTS_LADDER:
-        res = adaptive_quad(lambda x: np.asarray(seq.primitive(k, n, x), dtype=float)
-                            * np.asarray(fk(x), dtype=float),
-                            support.lo, support.hi, tol=PARTS_TOL, breakpoints=(0.0,))
-        samples.append((float(n), res.value))
-    return sign * extrapolate_limit(samples, mode="inverse_param")
+    limit = seq.limit_of_primitives
+    phis = [limit] if limit is not None else [functools.partial(seq.primitive, k, n)
+                                              for n in PARTS_LADDER]
+    values = [adaptive_quad(lambda x: np.asarray(phi(x), dtype=float) * np.asarray(fk(x), dtype=float),
+                            support.lo, support.hi, tol=PARTS_TOL, breakpoints=(0.0,)).value
+              for phi in phis]
+    if limit is not None:
+        return sign * values[0]
+    return sign * extrapolate_limit(zip(PARTS_LADDER, values), mode="inverse_param")
 
 
 def check_zero_off_origin(seq, a, n_max=100):

@@ -35,6 +35,7 @@ FORMAT_GOLDEN_ARGV = {
        for fig in range(1, 10)},
     "figure_3.json": ["figure", "--fig", "3", "--grid", "41", "--format", "json"],
     "certify_si_tail.csv": ["certify", "si_tail", "--format", "csv"],
+    "pair_fourier.csv": [*GOLDEN_ARGV["pair_fourier"], "--format", "csv"],
 }
 
 
@@ -337,6 +338,9 @@ def test_other_formats_match_golden(capsys, name):
         assert_same_report(json.loads(out), json.loads(want))
     else:
         assert_same_report(_csv_cells(out), _csv_cells(want))
+        # floats compare at rel 1e-12 above, which repr's digits would pass too
+        cells = zip(sum(csv.reader(out.splitlines()), []), sum(_csv_cells(out), []))
+        assert [t for t, c in cells if isinstance(c, float) and t != "%.17g" % c] == []
 
 
 @pytest.mark.parametrize("argv, code", [

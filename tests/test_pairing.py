@@ -187,6 +187,14 @@ def test_extrapolate_validation():
         extrapolate_limit([(1.0, 0.0), (2.0, 0.0), (3.0, 0.0)], mode="quadratic")
 
 
+def test_extrapolate_inverse_param_rejects_a_zero_param(capfd):
+    # 1/param is infinite there; the fit must refuse before LAPACK sees it
+    for params in ((0.0, 1.0, 2.0), (-1.0, 0.0, 1.0)):
+        with pytest.raises(ValueError, match="nonzero"):
+            extrapolate_limit([(p, 1.0) for p in params])
+    assert capfd.readouterr().err == ""
+
+
 def test_extrapolate_log_corrected():
     # exact model values are recovered
     eps = np.array([1e-1, 1e-2, 1e-3, 1e-4])

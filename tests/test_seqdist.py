@@ -51,6 +51,14 @@ def test_check_fundamental_damped_cos():
     assert_allclose(report.sup_errors[-1], 1.0 / 100.0, rtol=1e-3)
 
 
+def test_grid_reports_hold_python_floats():
+    reports = (check_fundamental(damped_cos_seq(), (-1.0, 1.0), n_max=5),
+               check_equivalent(sinc_delta_seq(), lorentz_delta_seq(), (-1.0, 1.0), n_max=5),
+               check_zero_off_origin(lorentz_delta_seq(), 0.5, n_max=5))
+    for report in reports:
+        assert all(type(x) is float for x in report.sup_errors), report.bound_used
+
+
 def test_check_fundamental_fails_at_step_level():
     # the smoothed steps have no continuous uniform limit through 0
     report = check_fundamental(sinc_delta_seq(), (-1.0, 1.0), n_max=60,
