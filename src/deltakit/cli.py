@@ -4,14 +4,18 @@ Each subcommand takes only the flags it reads: `pair` takes --bump, --shift
 and --tol, `figure` takes --interval and --grid, and all three take --out and
 --format. `certify NAME --params` hands its values to run_certificate(NAME,
 *params) in order, so a certificate takes exactly the parameters its
-signature names.
+signature names. Each flag's parser type converts and checks its value, so a
+command line parses straight into a RunConfig.
 
 Exit codes: 0 all checks pass, 1 a tolerance/bound failed, 2 configuration
-error, including a flag the subcommand does not take and --params values a
-certificate cannot run on or has no place for. Output is deterministic
-byte-for-byte for a fixed configuration (pairing sums panels in a fixed order).
-CSV prints floats with 17 significant digits; JSON prints the shortest repr
-that round-trips.
+error: a flag the subcommand does not take, a value its flag rejects (number
+lists must be finite; --interval two numbers lo < hi, --grid an integer >= 2,
+--fig 1..9), --params values a certificate cannot run on or has no place for,
+and an --out path that cannot be written. Messages read `deltakit <cmd>:
+error: argument --flag: ...`; a certificate's own rejection reads `deltakit:
+error: --params of <name>: ...`. Output is deterministic byte-for-byte for a
+fixed configuration (pairing sums panels in a fixed order). CSV prints floats
+with 17 significant digits; JSON prints the shortest repr that round-trips.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ __all__ = ["main", "RunConfig"]
 _FAMILY_FIGURES = {3: sinc_delta, 4: sinc_step, 6: sinc_kink, 7: lorentz_delta_n}
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     command: str
     family: str | None = None
@@ -51,73 +55,80 @@ class RunConfig:
     format: str = "json"
 
 
-def _parse_floats(text, name, parser, expected=None):
-    try:
-        values = tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
-    except ValueError:
-        parser.error(f"--{name} expects a comma-separated list of numbers, got {text!r}")
-    if not values:
-        parser.error(f"--{name} must not be empty")
-    if not all(math.isfinite(v) for v in values):
-        parser.error(f"--{name} expects finite numbers, got {text!r}")
-    if expected is not None and len(values) != expected:
-        parser.error(f"--{name} expects exactly {expected} numbers, got {len(values)}")
+def _numbers(text):
+    """A comma list of finite numbers, blank items skipped; "" is the empty list."""
+    values = tuple(float(tok) for tok in text.split(",") if tok.strip())
+    if (text and not values) or not all(map(math.isfinite, values)):
+        raise ValueError(text)
     return values
 
 
-def _emit(text, path):
-    if path in (None, "-"):
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+def _ascending(values):
+    return all(a < b for a, b in zip(values, values[1:]))
+
+
+def _checked(convert, rule, test=lambda value: True):
+    """An argparse type: convert the text and require test(value), or name the rule."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            pass
+        else:
+            if test(value):
+                return value
+        raise argparse.ArgumentTypeError(f"expected {rule}, got {text!r}")
+    return parse
+
+
+def _write_report(config, passed, header, rows, results, **fields):
+    """Print or write one command's report in its format; return the exit code.
+
+    CSV is `header` and then `rows`; JSON is the envelope around `results` and
+    `fields`. Only the requested format is built, so `rows` and `results` may
+    be generators. Figure CSV goes to fig<N>.csv unless --out names a path; a
+    path that cannot be written exits 2.
+    """
+    path = config.output_path
+    if config.format == "csv":
+        text = "\n".join([header, *rows]) + "\n"
+        if path is None and config.command == "figure":
+            path = f"fig{config.fig}.csv"
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
-def _json_text(payload):
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def _build_test_function(config):
-    f = bump(*config.bump_knots)
-    return f.shifted(config.shift) if config.shift else f
+        text = json.dumps({"command": config.command, "config": dataclasses.asdict(config),
+                           "results": list(results), **fields,
+                           "verdict": "pass" if passed else "fail"}, indent=2, sort_keys=True)
+    if path in (None, "-"):
+        print(text, end="" if text.endswith("\n") else "\n")
+    else:
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"deltakit {config.command}: error: argument --out: cannot write {path!r}: "
+                  f"{exc.strerror}", file=sys.stderr)
+            return 2
+    return 0 if passed else 1
 
 
 def cmd_pair(config):
-    f = _build_test_function(config)
+    f = bump(*config.bump_knots)
+    if config.shift:
+        f = f.shifted(config.shift)
     f0 = float(f(0.0))
-    if config.family == "fourier":
-        pair_fn = pair_sinc
-        mode = "inverse_param"
-    else:
-        pair_fn = pair_lorentz
-        mode = "log_corrected"
-    results = [pair_fn(p, f) for p in config.params]
-    samples = [(p, res.value) for p, res in zip(config.params, results)]
-    limit = extrapolate_limit(samples, mode=mode)
+    pair_fn, mode = ((pair_sinc, "inverse_param") if config.family == "fourier"
+                     else (pair_lorentz, "log_corrected"))
+    runs = [(p, pair_fn(p, f)) for p in config.params]
+    limit = extrapolate_limit([(p, res.value) for p, res in runs], mode=mode)
     limit_error = abs(limit - f0)
-    passed = limit_error <= config.tolerance and all(r.converged for r in results)
-    payload = {
-        "command": "pair",
-        "config": dataclasses.asdict(config),
-        "results": [{"param": p, "value": r.value,
-                     "abs_error_estimate": r.abs_error_estimate}
-                    for p, r in zip(config.params, results)],
-        "extrapolated_limit": limit,
-        "target_value_at_zero": f0,
-        "abs_limit_error": limit_error,
-        "verdict": "pass" if passed else "fail",
-    }
-    if config.format == "csv":
-        lines = ["param,value,abs_error_estimate"]
-        lines += ["%.17g,%.17g,%.17g" % (p, r.value, r.abs_error_estimate)
-                  for p, r in zip(config.params, results)]
-        lines.append("limit,%.17g,%.17g" % (limit, limit_error))
-        _emit("\n".join(lines) + "\n", config.output_path)
-    else:
-        _emit(_json_text(payload), config.output_path)
-    return 0 if passed else 1
+    passed = limit_error <= config.tolerance and all(res.converged for _, res in runs)
+    return _write_report(
+        config, passed, "param,value,abs_error_estimate",
+        ["%.17g,%.17g,%.17g" % (p, res.value, res.abs_error_estimate) for p, res in runs]
+        + ["limit,%.17g,%.17g" % (limit, limit_error)],
+        [{"param": p, "value": res.value, "abs_error_estimate": res.abs_error_estimate}
+         for p, res in runs],
+        extrapolated_limit=limit, target_value_at_zero=f0, abs_limit_error=limit_error)
 
 
 def cmd_certify(config, parser):
@@ -125,20 +136,10 @@ def cmd_certify(config, parser):
         report = run_certificate(config.certificate, *config.params)
     except ValueError as exc:  # raised on entry, before any numeric work
         parser.error(f"--params of {config.certificate}: {exc}")
-    payload = {
-        "command": "certify",
-        "config": dataclasses.asdict(config),
-        "results": [{"certificate": report.name, "summary": report.summary,
-                     "details": report.details}],
-        "verdict": "pass" if report.passed else "fail",
-    }
-    if config.format == "csv":
-        lines = ["certificate,verdict,summary",
-                 f"{report.name},{'pass' if report.passed else 'fail'},\"{report.summary}\""]
-        _emit("\n".join(lines) + "\n", config.output_path)
-    else:
-        _emit(_json_text(payload), config.output_path)
-    return 0 if report.passed else 1
+    return _write_report(
+        config, report.passed, "certificate,verdict,summary",
+        [f"{report.name},{'pass' if report.passed else 'fail'},\"{report.summary}\""],
+        [{"certificate": report.name, "summary": report.summary, "details": report.details}])
 
 
 def _figure_series(config):
@@ -167,22 +168,12 @@ def _figure_series(config):
 def cmd_figure(config):
     series = [(label, points.tolist(), values.tolist())
               for label, points, values in _figure_series(config)]
-    if config.format == "json":
-        payload = {
-            "command": "figure",
-            "config": dataclasses.asdict(config),
-            "results": [{"x": x, "value": v, "series": label}
-                        for label, points, values in series for x, v in zip(points, values)],
-            "verdict": "pass",
-        }
-        _emit(_json_text(payload), config.output_path)
-    else:
-        lines = ["x,value,series"]
-        lines += ["%.17g,%.17g,%s" % (x, v, label)
-                  for label, points, values in series for x, v in zip(points, values)]
-        path = config.output_path or f"fig{config.fig}.csv"
-        _emit("\n".join(lines) + "\n", path)
-    return 0
+    return _write_report(
+        config, True, "x,value,series",
+        ("%.17g,%.17g,%s" % (x, v, label)
+         for label, points, values in series for x, v in zip(points, values)),
+        ({"x": x, "value": v, "series": label}
+         for label, points, values in series for x, v in zip(points, values)))
 
 
 @functools.cache
@@ -192,75 +183,61 @@ def _build_parser():
         description="Regularized delta families: pairings, certified bounds, figure data.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_command(name, help):
+        # each flag's dest is its RunConfig field; a flag left out keeps the field's default
+        return sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+
     def add_output(p, fmt, where="stdout"):
-        p.add_argument("--out", default=None, help=f"output path (default {where})")
+        p.add_argument("--out", dest="output_path", metavar="OUT",
+                       help=f"output path (default {where})")
         p.add_argument("--format", choices=("csv", "json"), default=fmt)
 
-    p_pair = sub.add_parser("pair", help="pair a regularized family against a bump")
+    p_pair = add_command("pair", "pair a regularized family against a bump")
     p_pair.add_argument("--family", choices=("fourier", "lorentz"), required=True)
-    p_pair.add_argument("--params", required=True,
-                        help="comma list of cutoffs R (fourier) or widths eps (lorentz)")
-    p_pair.add_argument("--bump", default="-2,-1,1,2",
-                        help="bump knots a,b,c,d (default -2,-1,1,2)")
-    p_pair.add_argument("--shift", type=float, default=0.0,
+    p_pair.add_argument("--params", required=True, type=_checked(
+        _numbers, "3 or more finite positive numbers, strictly increasing or decreasing",
+        lambda v: len(v) >= 3 and min(v) > 0 and (_ascending(v) or _ascending(v[::-1]))),
+        help="comma list of cutoffs R (fourier) or widths eps (lorentz)")
+    p_pair.add_argument("--bump", dest="bump_knots", metavar="BUMP", type=_checked(
+        _numbers, "4 finite, strictly increasing numbers a,b,c,d",
+        lambda v: len(v) == 4 and _ascending(v)),
+        help="bump knots a,b,c,d (default -2,-1,1,2); write --bump=-2,-1,1,2, "
+             "as a value that starts with '-' reads as a flag")
+    p_pair.add_argument("--shift", type=_checked(float, "a finite number", math.isfinite),
                         help="translate the test function by x0")
-    p_pair.add_argument("--tol", type=float, default=1e-3, help="pass tolerance")
+    p_pair.add_argument("--tol", dest="tolerance", metavar="TOL", type=_checked(
+        float, "a finite number > 0", lambda t: 0 < t < math.inf), help="pass tolerance")
     add_output(p_pair, "json")
 
-    p_cert = sub.add_parser("certify", help="run a named bound certificate")
+    p_cert = add_command("certify", "run a named bound certificate")
     p_cert.add_argument("certificate", choices=certificate_names())
-    p_cert.add_argument("--params", default=None,
+    p_cert.add_argument("--params", type=_checked(_numbers, "a comma list of finite numbers"),
                         help="comma list: n_max[,a] (lemma4 takes n_max only), "
                              "R list (fubini), eps list (lemma5_rate); "
                              "si_tail and eq23_identity take none")
     add_output(p_cert, "json")
 
-    p_fig = sub.add_parser("figure", help="emit the dataset behind one figure as CSV")
-    p_fig.add_argument("--fig", type=int, required=True, help="figure id, 1..9")
-    p_fig.add_argument("--interval", default="-5,5", help="grid interval lo,hi")
-    p_fig.add_argument("--grid", type=int, default=2001, help="grid points (>= 2)")
+    p_fig = add_command("figure", "emit the dataset behind one figure as CSV")
+    p_fig.add_argument("--fig", type=int, choices=range(1, 10), metavar="FIG", required=True,
+                       help="figure id, 1..9")
+    p_fig.add_argument("--interval", type=_checked(
+        _numbers, "two finite numbers lo,hi with lo < hi",
+        lambda v: len(v) == 2 and _ascending(v)),
+        help="grid interval lo,hi (default -5,5); write --interval=-5,5, "
+             "as a value that starts with '-' reads as a flag")
+    p_fig.add_argument("--grid", type=_checked(int, "an integer >= 2", lambda n: n >= 2),
+                       help="grid points (>= 2)")
     add_output(p_fig, "csv", "fig<N>.csv for CSV, stdout for JSON")
     return parser
 
 
 def main(argv=None):
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    config = RunConfig(command=args.command, output_path=args.out, format=args.format)
-
-    if args.command == "pair":
-        if not (math.isfinite(args.tol) and args.tol > 0):
-            parser.error(f"--tol must be a finite positive number, got {args.tol!r}")
-        if not math.isfinite(args.shift):
-            parser.error(f"--shift must be a finite number, got {args.shift!r}")
-        config.bump_knots = _parse_floats(args.bump, "bump", parser, expected=4)
-        if not all(a < b for a, b in zip(config.bump_knots, config.bump_knots[1:])):
-            parser.error("--bump knots must be strictly increasing")
-        config.family, config.shift, config.tolerance = args.family, args.shift, args.tol
-        config.params = _parse_floats(args.params, "params", parser)
-        if any(p <= 0 for p in config.params):
-            parser.error("--params must all be positive")
-        if len(config.params) < 3:
-            parser.error("--params needs at least 3 values for limit extrapolation")
-        steps = np.diff(config.params)
-        if not (np.all(steps > 0) or np.all(steps < 0)):
-            parser.error("--params must be strictly increasing or strictly decreasing")
+    config = RunConfig(**vars(parser.parse_args(argv)))
+    if config.command == "pair":
         return cmd_pair(config)
-
-    if args.command == "certify":
-        config.certificate = args.certificate
-        if args.params:
-            config.params = _parse_floats(args.params, "params", parser)
+    if config.command == "certify":
         return cmd_certify(config, parser)
-
-    if not 1 <= args.fig <= 9:
-        parser.error("--fig must be in 1..9")
-    config.interval = _parse_floats(args.interval, "interval", parser, expected=2)
-    if not config.interval[0] < config.interval[1]:
-        parser.error("--interval requires lo < hi")
-    if args.grid < 2:
-        parser.error("--grid must be >= 2")
-    config.fig, config.grid = args.fig, args.grid
     return cmd_figure(config)
 
 

@@ -1,12 +1,13 @@
 """Sine integral, Dirichlet tails, and the exp-damped sine double integral.
 
-si(x) evaluates, up to |x| = 100, a degree-16 Chebyshev expansion of Si on
-the half-period [k*pi, (k+1)*pi] that holds |x|, by Clenshaw's recurrence:
-no quadrature per point. The table is built once from sinc samples. Its
-absolute error measured against mpmath is at most 6.7e-16 on [0, pi] and
-2.2e-16 on [pi, 100]. Beyond 100, si uses a five-term asymptotic pair,
-whose truncation error is bounded by the first omitted terms, 10!/x^11 +
-11!/x^12.
+si(x) evaluates, for 1/16 <= |x| <= 100, a degree-16 Chebyshev expansion of
+Si on the half-period [k*pi, (k+1)*pi] that holds |x|, by Clenshaw's
+recurrence: no quadrature per point. The table is built once from sinc
+samples. Its absolute error measured against mpmath is at most 6.7e-16 on
+[0, pi] and 2.2e-16 on [pi, 100]. Below 1/16, where Si(x) ~ x, the odd
+Maclaurin series through x^9 keeps the error relative, at most 1.1e-16.
+Beyond 100, si uses a five-term asymptotic pair, whose truncation error is
+bounded by the first omitted terms, 10!/x^11 + 11!/x^12.
 """
 
 from __future__ import annotations
@@ -139,14 +140,14 @@ def _si_asymptotic(ax):
 def si(x):
     """Sine integral Si(x) = integral of sin(t)/t from 0 to x.
 
-    For |x| <= 100, a piecewise Chebyshev table (one degree-16 piece per
-    half-period) evaluated by Clenshaw's recurrence, with no quadrature;
-    absolute error measured against mpmath at most 6.7e-16, and bitwise the
-    same for a scalar and for that scalar inside an array. The error is
-    absolute, not relative: near 0, where Si(x) ~ x, it stays a few 1e-16,
-    and si(x) reads 0 below |x| ~ 1e-16. Beyond the switch the documented
-    envelope is 1e-4/x (actual error is far smaller, O(x^-11)). Odd by
-    reflection (exactly). Si(+-inf) = +-pi/2 and Si(nan) is nan.
+    For 1/16 <= |x| <= 100, a piecewise Chebyshev table (one degree-16 piece
+    per half-period) evaluated by Clenshaw's recurrence, with no quadrature;
+    absolute error measured against mpmath at most 6.7e-16. Below 1/16, the
+    odd Maclaurin series through x^9, whose error is relative (at most
+    1.1e-16 against mpmath). Bitwise the same for a scalar and for that
+    scalar inside an array. Beyond the switch the documented envelope is
+    1e-4/x (actual error is far smaller, O(x^-11)). Odd by reflection
+    (exactly). Si(+-inf) = +-pi/2 and Si(nan) is nan.
     """
     arr, scalar = as_float_array(x)
     flat = np.atleast_1d(arr).astype(float)
@@ -159,6 +160,11 @@ def si(x):
     small = ax <= _SI_SWITCH
     if small.any():
         out[small] = _si_chebyshev(ax[small])
+    tiny = ax < 0.0625  # odd Maclaurin series: the error stays relative where Si(x) ~ x
+    if tiny.any():
+        t = ax[tiny]
+        t2 = t * t
+        out[tiny] = t - t * t2 * (1 / 18 - t2 * (1 / 600 - t2 * (1 / 35280 - t2 / 3265920)))
     out *= sign
     return maybe_scalar(out.reshape(np.shape(arr)), scalar)
 

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -355,3 +356,112 @@ def test_module_entry_point_exit_codes(argv, code):
     proc = subprocess.run([sys.executable, "-m", "deltakit.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == code, proc.stderr
+
+
+def _readme_commands():
+    """Every `deltakit ...` line of the README's "Command line" block, as argv lists."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.splitlines() if line.startswith("deltakit ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_commands_exit_0(argv, tmp_path, monkeypatch, capsys):
+    # a number list that starts with "-" needs "--flag=value", or argparse
+    # reads the value as a flag and exits 2
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0, capsys.readouterr().err
+
+
+def test_unwritable_out_exits_2_naming_the_path(tmp_path, capsys):
+    path = tmp_path / "no" / "such" / "x.json"
+    assert main(["certify", "si_tail", "--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --out" in captured.err and str(path) in captured.err
+    assert len(captured.err.splitlines()) == 1
+    # a rejected command leaves an existing --out file as it was
+    existing = tmp_path / "x.json"
+    existing.write_text("kept")
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "lemma4", "--params", "0", "--out", str(existing)])
+    assert exc.value.code == 2 and existing.read_text() == "kept"
+
+
+PAIR = ["pair", "--family", "fourier", "--params", "100,200,400"]
+FIGURE = ["figure", "--fig", "3"]
+REJECTED = [
+    # the README's exit-2 list
+    (["pair", "--family", "fourier", "--params", "100,100,200"], "--params"),
+    (["pair", "--family", "fourier", "--params", "400,100,200"], "--params"),
+    (["certify", "lemma4", "--params", "0"], "--params"),
+    (["certify", "lemma4", "--params=-5"], "--params"),
+    (["certify", "lemma4", "--params", "2.7"], "--params"),
+    (["certify", "lemma6_lorentz", "--params", "100,0"], "--params"),
+    (["certify", "fubini", "--params=-1"], "--params"),
+    (["certify", "lemma5_rate", "--params", "0"], "--params"),
+    (["certify", "si_tail", "--params", "5"], "--params"),
+    (["certify", "eq23_identity", "--params", "1"], "--params"),
+    (["certify", "lemma4", "--params", "50,7"], "--params"),
+    (["certify", "lemma6_theta", "--params", "100,0.5,3"], "--params"),
+    (["certify", "lemma4", "--params", "inf"], "--params"),
+    (["pair", "--family", "fourier", "--params", "100,200,nan"], "--params"),
+    (PAIR + ["--bump=-2,-1,1,inf"], "--bump"),
+    (FIGURE + ["--interval=-5,nan"], "--interval"),
+    (PAIR + ["--shift", "inf"], "--shift"),
+    (PAIR + ["--tol", "nan"], "--tol"),
+    (["certify", "lemma4", "--grid", "7"], "--grid"),
+    (["figure", "--fig", "8", "--tol", "1e-3"], "--tol"),
+    # grid, interval, figure id, tolerance and shift rules
+    (FIGURE + ["--grid", "1"], "--grid"),
+    (FIGURE + ["--grid", "2.5"], "--grid"),
+    (FIGURE + ["--interval", "1,1"], "--interval"),
+    (FIGURE + ["--interval", "2,1"], "--interval"),
+    (FIGURE + ["--interval", "1,2,3"], "--interval"),
+    (FIGURE + ["--interval", "1,inf"], "--interval"),
+    (["figure", "--fig", "0"], "--fig"),
+    (["figure", "--fig", "10"], "--fig"),
+    (["figure", "--fig", "x"], "--fig"),
+    (PAIR + ["--tol", "0"], "--tol"),
+    (PAIR + ["--tol=-1"], "--tol"),
+    (PAIR + ["--shift", "x"], "--shift"),
+    # a pair ladder needs 3 or more positive values
+    (["pair", "--family", "fourier", "--params", ""], "--params"),
+    (["pair", "--family", "fourier", "--params", ","], "--params"),
+    (["pair", "--family", "fourier", "--params", "100,200"], "--params"),
+    (["pair", "--family", "fourier", "--params", "0,1,2"], "--params"),
+    # an empty --params runs a certificate's defaults; "," is no list
+    (["certify", "lemma4", "--params=,"], "--params"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", REJECTED, ids=[" ".join(a) for a, _ in REJECTED])
+def test_rejected_command_exits_2_naming_its_flag(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_empty_certify_params_runs_the_defaults(capsys):
+    assert run_cli(capsys, "certify", "lemma4", "--params=") == run_cli(capsys, "certify", "lemma4")
+
+
+HELP_FLAGS = {
+    "pair": ["--family {fourier,lorentz}", "--params PARAMS", "--bump BUMP",
+             "--shift SHIFT", "--tol TOL", "--out OUT", "--format {csv,json}"],
+    "certify": ["--params PARAMS", "--out OUT", "--format {csv,json}"],
+    "figure": ["--fig FIG", "--interval INTERVAL", "--grid GRID", "--out OUT",
+               "--format {csv,json}"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_FLAGS))
+def test_help_lists_every_flag_with_its_metavar(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    lines = [line.strip() for line in capsys.readouterr().out.splitlines()]
+    for flag in HELP_FLAGS[command]:
+        assert any(line.startswith(flag) for line in lines), flag

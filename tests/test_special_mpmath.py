@@ -35,6 +35,16 @@ def test_si_matches_mpmath_past_the_switch():
     assert err.max() <= 2e-15, (xs[err.argmax()], err.max())
 
 
+@pytest.mark.parametrize("x", [1e-300, 1e-20, 1e-16, 1e-12, 0.01, 0.06])
+def test_si_error_is_relative_near_zero(x):
+    # Si(x) ~ x: below 1/16 the Maclaurin series keeps a relative error at
+    # rounding, where the Chebyshev piece on [0, pi] read 0.0 at 1e-20 and
+    # 3.4 times the true value at 1e-16
+    with mpmath.workdps(40):
+        want = mpmath.si(mpmath.mpf(x))
+        for v in (x, -x):
+            assert abs((mpmath.mpf(si(v)) - math.copysign(1, v) * want) / want) <= 2.2e-16
+
 
 # sinc_prime sums its series below |t| = 1 and takes the closed form
 # (cos t - sinc t)/t from there on; 1e-2 was the switch before
