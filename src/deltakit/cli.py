@@ -8,14 +8,14 @@ signature names. Each flag's parser type converts and checks its value, so a
 command line parses straight into a RunConfig.
 
 Exit codes: 0 all checks pass, 1 a tolerance/bound failed, 2 configuration
-error: a flag the subcommand does not take, a value its flag rejects (number
-lists must be finite; --interval two numbers lo < hi, --grid an integer >= 2,
+error: a flag the subcommand does not take, a value its flag rejects (each
+number-list item a finite number; --interval lo < hi, --grid an integer >= 2,
 --fig 1..9), --params values a certificate cannot run on or has no place for,
 and an --out path that cannot be written. Messages read `deltakit <cmd>:
-error: argument --flag: ...`; a certificate's own rejection reads `deltakit:
-error: --params of <name>: ...`. Output is deterministic byte-for-byte for a
-fixed configuration (pairing sums panels in a fixed order). CSV prints floats
-with 17 significant digits; JSON prints the shortest repr that round-trips.
+error: argument --flag: ...`; a certificate's own rejection reads `deltakit
+certify: error: --params of <name>: ...`. Output is byte-for-byte
+deterministic for a fixed configuration (pairing sums panels in a fixed
+order); CSV prints floats with 17 significant digits, JSON the shortest round-trip repr.
 """
 
 from __future__ import annotations
@@ -56,9 +56,9 @@ class RunConfig:
 
 
 def _numbers(text):
-    """A comma list of finite numbers, blank items skipped; "" is the empty list."""
-    values = tuple(float(tok) for tok in text.split(",") if tok.strip())
-    if (text and not values) or not all(map(math.isfinite, values)):
+    """A comma list of finite numbers, every item one; "" is the empty list."""
+    values = tuple(map(float, text.split(","))) if text else ()
+    if not all(map(math.isfinite, values)):
         raise ValueError(text)
     return values
 
@@ -131,11 +131,11 @@ def cmd_pair(config):
         extrapolated_limit=limit, target_value_at_zero=f0, abs_limit_error=limit_error)
 
 
-def cmd_certify(config, parser):
+def cmd_certify(config, certify_parser):
     try:
         report = run_certificate(config.certificate, *config.params)
     except ValueError as exc:  # raised on entry, before any numeric work
-        parser.error(f"--params of {config.certificate}: {exc}")
+        certify_parser.error(f"--params of {config.certificate}: {exc}")
     return _write_report(
         config, report.passed, "certificate,verdict,summary",
         [f"{report.name},{'pass' if report.passed else 'fail'},\"{report.summary}\""],
@@ -228,16 +228,16 @@ def _build_parser():
     p_fig.add_argument("--grid", type=_checked(int, "an integer >= 2", lambda n: n >= 2),
                        help="grid points (>= 2)")
     add_output(p_fig, "csv", "fig<N>.csv for CSV, stdout for JSON")
-    return parser
+    return parser, p_cert
 
 
 def main(argv=None):
-    parser = _build_parser()
+    parser, certify_parser = _build_parser()
     config = RunConfig(**vars(parser.parse_args(argv)))
     if config.command == "pair":
         return cmd_pair(config)
     if config.command == "certify":
-        return cmd_certify(config, parser)
+        return cmd_certify(config, certify_parser)
     return cmd_figure(config)
 
 

@@ -50,10 +50,9 @@ class RateFit:
 
 
 def pair(phi, f, *, tol=1e-10, max_panel=None, breakpoints=()):
-    """Pair an integrable phi against a compactly supported f: one quadrature's QuadResult."""
-    support = Interval.coerce(f.support)
+    """Pair an integrable phi against a TestFunction f over its support: one QuadResult."""
     return adaptive_quad(lambda x: np.asarray(phi(x), dtype=float) * np.asarray(f(x), dtype=float),
-                         support.lo, support.hi,
+                         f.support.lo, f.support.hi,
                          tol=tol, max_panel=max_panel, breakpoints=breakpoints)
 
 
@@ -64,16 +63,15 @@ def pair_sinc(r, f):
 
 
 def pair_split(r, f):
-    """Split the sinc pairing into its two algebraic pieces.
+    """Split the sinc pairing against a TestFunction f into its two algebraic pieces.
 
     term1 pairs sin(r x) against the continuous difference quotient of f over
-    the symmetric hull [-M, M]; term2 = 2 f(0) Si(r M) / pi carries the
-    delta-defining part exactly (through si). term1 + term2 equals the direct
-    pairing up to quadrature error.
+    the symmetric hull [-M, M] of its support; term2 = 2 f(0) Si(r M) / pi
+    carries the delta-defining part exactly (through si). term1 + term2
+    equals the direct pairing up to quadrature error.
     """
     r = require_positive(r, "r")
-    support = Interval.coerce(f.support)
-    M = max(abs(support.lo), abs(support.hi))
+    M = max(abs(f.support.lo), abs(f.support.hi))
     g = difference_quotient(f)
     quad = adaptive_quad(lambda x: g(x) * np.sin(r * x), -M, M,
                          tol=PAIR_TOL, max_panel=half_period_cap(r))
@@ -83,10 +81,9 @@ def pair_split(r, f):
 
 
 def pair_lorentz(eps, f, *, tol=1e-10):
-    """Pair the Lorentz kernel against f, with panel edges refined near 0."""
+    """Pair the Lorentz kernel against a TestFunction f, with panel edges refined near 0."""
     eps = require_positive(eps, "eps")
-    support = Interval.coerce(f.support)
-    reach = max(abs(support.lo), abs(support.hi))
+    reach = max(abs(f.support.lo), abs(f.support.hi))
     edges = [0.0]
     scale = eps
     while scale < reach:

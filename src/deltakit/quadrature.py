@@ -62,7 +62,8 @@ ROW_BLOCK_NODES = 2 ** 14
 
 
 class QuadratureError(ArithmeticError):
-    """Raised when an integrand produces non-finite values."""
+    """Raised when an integrand produces non-finite values, or when a quadrature
+    whose value is kept without its QuadResult does not converge."""
 
 
 @dataclass(frozen=True)
@@ -242,7 +243,8 @@ def anchored_primitive_values(f, xs, *, tol=1e-10, max_panel=None, moments=1):
     nodes of every inter-knot segment, integrates each moment segment by
     segment (refining segments whose error estimate is out of budget), and
     accumulates signed cumulative sums away from the anchor 0. Returns an
-    array of shape (moments,) + xs.shape; row 0 is the primitive of f.
+    array of shape (moments,) + xs.shape; row 0 is the primitive of f. Raises
+    QuadratureError when a refined segment does not converge.
     """
     xs_arr = np.asarray(xs, dtype=float)
     out = np.zeros((int(moments),) + xs_arr.shape)
@@ -263,7 +265,10 @@ def anchored_primitive_values(f, xs, *, tol=1e-10, max_panel=None, moments=1):
         vals, errs = _panel_sums(fx * pts ** j if j else fx, pts, hw)
         moment = (lambda t, j=j: t ** j * f(t)) if j else f
         for i in np.flatnonzero(errs > budget):
-            vals[i] = adaptive_quad(moment, seg_lo[i], seg_hi[i], tol=float(budget[i])).value
+            res = adaptive_quad(moment, seg_lo[i], seg_hi[i], tol=float(budget[i]))
+            if not res.converged:
+                raise QuadratureError(f"lifting did not converge on [{seg_lo[i]!r}, {seg_hi[i]!r}]")
+            vals[i] = res.value
         cum = np.concatenate([[0.0], np.cumsum(vals)])
         out[j] = (cum - cum[anchor])[idx].reshape(xs_arr.shape)
     return out

@@ -21,7 +21,7 @@ from ._util import require_count, require_positive
 from .families import (half_abs, lorentz_delta_n, lorentz_delta_prime, lorentz_kink,
                        lorentz_step, sinc_delta, sinc_delta_prime, sinc_kink, sinc_step)
 from .pairing import extrapolate_limit
-from .quadrature import adaptive_quad, anchored_primitive_values, half_period_cap
+from .quadrature import QuadratureError, adaptive_quad, anchored_primitive_values, half_period_cap
 from .special import si
 from .testfn import MAX_DERIVATIVE_ORDER, Interval, derivative
 
@@ -337,25 +337,29 @@ def seq_derivative(seq):
 
 
 def pair_by_parts(seq, f):
-    """Pair a sequential distribution with f through k integrations by parts.
+    """Pair a sequential distribution with a TestFunction f through k integrations by parts.
 
     Evaluates (-1)^k * integral of Phi * f^(k) over the support of f, using
     the declared limit Phi when available and otherwise extrapolating the
-    integrals of the level-k primitives over n = PARTS_LADDER.
+    integrals of the level-k primitives over n = PARTS_LADDER. Raises
+    QuadratureError, naming the limit or the n, when an integral does not converge.
     """
     k = seq.primitive_order
     if k > MAX_DERIVATIVE_ORDER:
         raise ValueError(f"pairing by parts needs derivative order {k}, "
                          f"but f only supports {MAX_DERIVATIVE_ORDER}")
-    support = Interval.coerce(f.support)
     fk = f if k == 0 else (lambda x: derivative(f, x, k))
     sign = -1.0 if k % 2 else 1.0
     limit = seq.limit_of_primitives
-    phis = [limit] if limit is not None else [functools.partial(seq.primitive, k, n)
-                                              for n in PARTS_LADDER]
-    values = [adaptive_quad(lambda x: np.asarray(phi(x), dtype=float) * np.asarray(fk(x), dtype=float),
-                            support.lo, support.hi, tol=PARTS_TOL, breakpoints=(0.0,)).value
-              for phi in phis]
+    phis = ({"declared limit": limit} if limit is not None else
+            {f"n = {n}": functools.partial(seq.primitive, k, n) for n in PARTS_LADDER})
+    values = []
+    for name, phi in phis.items():
+        res = adaptive_quad(lambda x: np.asarray(phi(x), dtype=float) * np.asarray(fk(x), dtype=float),
+                            f.support.lo, f.support.hi, tol=PARTS_TOL, breakpoints=(0.0,))
+        if not res.converged:
+            raise QuadratureError(f"pair_by_parts: the integral at the {name} did not converge")
+        values.append(res.value)
     if limit is not None:
         return sign * values[0]
     return sign * extrapolate_limit(zip(PARTS_LADDER, values), mode="inverse_param")

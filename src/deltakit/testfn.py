@@ -9,9 +9,9 @@ Walther, Evaluating Derivatives, ch. 13). Values and jets are computed only
 at the points strictly inside a transition interval; at every other point a
 step or bump is the exact constant 0 or 1 with higher coefficients 0. The
 bump's two transitions are disjoint, so each point takes at most one step's
-jet and the bump forms no product of jets. derivative(f, x, k) reads
-f^(k)(x) off the jet, exact to rounding; other callables get central finite
-differences.
+jet and the bump forms no product of jets. A TestFunction is given by its
+jet alone, and derivative(f, x, k) reads f^(k)(x) off it, exact to rounding;
+only plain callables get central finite differences.
 """
 
 from __future__ import annotations
@@ -186,27 +186,21 @@ def smooth_step_down(gamma, delta):
 
 
 class TestFunction:
-    """Smooth function with compact support; derivative(f, x, k) differentiates it.
+    """Smooth function with compact support, given by its jet.
 
-    Built from exactly one of fn, its values, or jet(x, order), the list of its
-    Taylor coefficients f^(k)(x)/k! for k = 0..order; with a jet the value is
-    the order-0 coefficient and derivatives are exact to rounding. Immutable
-    after construction.
+    jet(x, order) is the list of its Taylor coefficients f^(k)(x)/k! for
+    k = 0..order; the value is the order-0 coefficient, and derivative(f, x, k)
+    reads f^(k)(x) off the jet, exact to rounding. Immutable.
     """
 
     __test__ = False  # not a pytest collection target
 
-    def __init__(self, fn, support, *, label="f", jet=None):
-        if (fn is None) == (jet is None):
-            raise ValueError("TestFunction takes exactly one of fn and jet")
-        self._fn = fn
+    def __init__(self, support, *, jet, label="f"):
         self.jet = jet
         self.support = Interval.coerce(support)
         self.label = label
 
     def __call__(self, x):
-        if self.jet is None:
-            return self._fn(x)
         arr, scalar = as_float_array(x)
         return maybe_scalar(self.jet(arr, 0)[0], scalar)
 
@@ -216,22 +210,15 @@ class TestFunction:
     def shifted(self, x0):
         """Translate: g(x) = f(x - x0); support moves with it."""
         x0 = float(x0)
-        fn, jet = self._fn, self.jet
-        support, label = self.support.shifted(x0), f"{self.label} shifted by {x0:g}"
-        if jet is None:
-            return TestFunction(lambda x: fn(np.asarray(x, dtype=float) - x0), support,
-                                label=label)
-        return TestFunction(None, support, label=label,
+        jet = self.jet
+        return TestFunction(self.support.shifted(x0), label=f"{self.label} shifted by {x0:g}",
                             jet=lambda x, order: jet(np.asarray(x, dtype=float) - x0, order))
 
     def scaled(self, c):
         """Scale values: g(x) = c * f(x); support unchanged."""
         c = float(c)
-        fn, jet = self._fn, self.jet
-        label = f"{c:g} * {self.label}"
-        if jet is None:
-            return TestFunction(lambda x: c * fn(x), self.support, label=label)
-        return TestFunction(None, self.support, label=label,
+        jet = self.jet
+        return TestFunction(self.support, label=f"{c:g} * {self.label}",
                             jet=lambda x, order: [c * v for v in jet(x, order)])
 
 
@@ -248,7 +235,7 @@ def bump(alpha, beta, gamma, delta):
         raise ValueError(f"bump requires alpha < beta < gamma < delta, got {knots}")
     up = smooth_step_up(alpha, beta)
     down = smooth_step_down(gamma, delta)
-    return TestFunction(None, Interval(alpha, delta),
+    return TestFunction(Interval(alpha, delta),
                         label=f"bump({alpha:g},{beta:g},{gamma:g},{delta:g})",
                         jet=lambda x, order: _bump_jet(up, down, x, order))
 
@@ -278,11 +265,10 @@ def _stencil(f, x, h, order):
 def derivative(f, x, order=1):
     """The order-th derivative of f at x, for orders 1..MAX_DERIVATIVE_ORDER.
 
-    Read off f.jet, exact to rounding, when f has one (bumps, smooth steps and
-    their shifts and scalings). Any other callable gets a central finite
-    difference with one Richardson level, O(h^4), with step
-    h = eps^(1/(order+2)) * max(1, |x|), the standard truncation/roundoff
-    tradeoff for each stencil.
+    Read off f.jet, exact to rounding, when f has one (every TestFunction and
+    SmoothStep). Only a plain callable gets a central finite difference with
+    one Richardson level, O(h^4), with step h = eps^(1/(order+2)) * max(1, |x|),
+    the standard truncation/roundoff tradeoff for each stencil.
     """
     order = int(order)
     if not 1 <= order <= MAX_DERIVATIVE_ORDER:
@@ -307,17 +293,16 @@ class DifferenceQuotient:
 
     def __init__(self, f):
         self._f = f
-        self._f0 = float(f(0.0))
-        self._d1 = float(derivative(f, 0.0, 1))
-        self._d2 = float(derivative(f, 0.0, 2))
-        self.switch = 1e-6 * Interval.coerce(f.support).width
+        # the Taylor coefficients f(0), f'(0) and f''(0)/2
+        self._f0, self._d1, self._c2 = map(float, f.jet(0.0, 2))
+        self.switch = 1e-6 * f.support.width
 
     def __call__(self, x):
         arr, scalar = as_float_array(x)
         small = np.abs(arr) < self.switch
         safe = np.where(small, 1.0, arr)
         out = np.where(small,
-                       self._d1 + 0.5 * self._d2 * arr,
+                       self._d1 + self._c2 * arr,
                        (self._f(arr) - self._f0) / safe)
         return maybe_scalar(out, scalar)
 

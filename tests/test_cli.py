@@ -433,6 +433,12 @@ REJECTED = [
     (["pair", "--family", "fourier", "--params", "0,1,2"], "--params"),
     # an empty --params runs a certificate's defaults; "," is no list
     (["certify", "lemma4", "--params=,"], "--params"),
+    # every comma item must be a number: a blank one is not skipped
+    (["pair", "--family", "fourier", "--params", "100,,200,400"], "--params"),
+    (["pair", "--family", "fourier", "--params", "100,200,400,"], "--params"),
+    (PAIR + ["--bump=-2,-1,,1,2"], "--bump"),
+    (FIGURE + ["--interval=-5,,5"], "--interval"),
+    (["certify", "lemma4", "--params", "50,"], "--params"),
 ]
 
 
@@ -441,7 +447,11 @@ def test_rejected_command_exits_2_naming_its_flag(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert flag in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert flag in err
+    if argv[0] == "certify" and flag == "--params":
+        # a certificate's own rejection reports through the certify parser too
+        assert "deltakit certify: error:" in err and "usage: deltakit certify" in err
 
 
 def test_empty_certify_params_runs_the_defaults(capsys):

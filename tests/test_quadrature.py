@@ -1,5 +1,6 @@
 """Adaptive panel quadrature: the panel rule, convergence reporting, lifting."""
 
+import dataclasses
 import math
 import re
 
@@ -175,3 +176,12 @@ def test_lifting_refines_segments_the_shared_panels_miss():
     prim = quadrature.anchored_primitive_values(lambda x: lorentz_delta(1e-3, x), xs)
     assert prim.shape == (1, 4)
     assert_allclose(prim[0], lorentz_step(1e3, xs), atol=1e-14, rtol=0)
+
+
+def test_lifting_raises_when_a_refined_segment_does_not_converge(monkeypatch):
+    real = quadrature.adaptive_quad
+    monkeypatch.setattr(quadrature, "adaptive_quad", lambda *args, **kwargs: dataclasses.replace(
+        real(*args, **kwargs), converged=False))
+    xs = np.array([-3.0, -1.0, 0.5, 3.0])
+    with pytest.raises(QuadratureError, match="did not converge"):
+        quadrature.anchored_primitive_values(lambda x: lorentz_delta(1e-3, x), xs)

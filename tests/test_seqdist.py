@@ -1,17 +1,18 @@
 """Fundamental sequences: towers, convergence checks, equivalence, derivative."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from deltakit import (FundamentalSeq, bump, check_equivalent,
+from deltakit import (FundamentalSeq, QuadratureError, bump, check_equivalent,
                       check_fundamental, check_zero_off_origin, damped_cos_seq,
                       derivative, lorentz_delta_seq, pair_by_parts,
                       scaled_cos_seq, seq_derivative, sinc_delta, sinc_delta_seq,
                       sinc_step_seq, zero_seq)
-from deltakit import seqdist
+from deltakit import seqdist, testfn
 from deltakit.testfn import MAX_DERIVATIVE_ORDER
 
 
@@ -185,6 +186,34 @@ def test_pair_by_parts_extrapolated_without_limit():
     f = bump(-2.0, -1.0, 1.0, 2.0)
     value = pair_by_parts(blind, f)
     assert abs(value - 1.0) <= 1e-4
+
+
+@pytest.mark.parametrize("base, x0, c", [
+    (bump(-2.0, -1.0, 1.0, 2.0), 0.4, 2.5),
+    (bump(-2.1, -1.2, 1.1, 1.9), 1.5, 1.0),  # the origin lies in a transition
+    (bump(-2.1, -1.2, 1.1, 1.9), -1.0, -0.75),
+])
+def test_pair_by_parts_reads_exact_jets_of_shifted_scaled_bumps(monkeypatch, base, x0, c):
+    def no_stencil(*args):
+        raise AssertionError("a TestFunction must not take finite differences")
+
+    monkeypatch.setattr(testfn, "_stencil", no_stencil)
+    f = base.shifted(x0).scaled(c)
+    for seq in (sinc_delta_seq(), lorentz_delta_seq()):
+        assert abs(pair_by_parts(seq, f) - c * base(-x0)) <= 1e-13
+
+
+def test_pair_by_parts_raises_when_an_integral_does_not_converge(monkeypatch):
+    real = seqdist.adaptive_quad
+    monkeypatch.setattr(seqdist, "adaptive_quad", lambda *args, **kwargs: dataclasses.replace(
+        real(*args, **kwargs), converged=False))
+    f = bump(-2.0, -1.0, 1.0, 2.0)
+    with pytest.raises(QuadratureError, match="declared limit"):
+        pair_by_parts(sinc_delta_seq(), f)
+    blind = FundamentalSeq(term=sinc_delta, primitive_order=2,
+                           primitives=sinc_delta_seq().primitives)
+    with pytest.raises(QuadratureError, match="n = 100"):
+        pair_by_parts(blind, f)
 
 
 def test_zero_off_origin_lorentz():

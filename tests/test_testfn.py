@@ -213,12 +213,6 @@ def test_plain_callable_uses_finite_differences():
     # one Richardson level over the central 2-point stencil: 4 evaluations
     assert abs(derivative(sine, 0.7, 1) - math.cos(0.7)) <= 1e-10
     assert len(calls) == 4
-    # a TestFunction built from values alone has no jet and differentiates the same way
-    f = bump(-2.0, -1.0, 1.0, 2.0)
-    g = TestFunction(lambda x: f(x), f.support)
-    assert g.jet is None
-    fd, exact = derivative(g, -1.3, 2), derivative(f, -1.3, 2)
-    assert fd != exact and abs(fd - exact) <= 1e-6 * abs(exact)
 
 
 def test_plain_callable_third_and_fourth_derivatives():
@@ -229,23 +223,28 @@ def test_plain_callable_third_and_fourth_derivatives():
     assert isinstance(d4, float) and d4 == derivative(np.sin, xs, 4)[1]
 
 
-def test_shift_and_scale_of_a_function_given_by_values():
-    f = TestFunction(np.cos, (-1.0, 1.0))
-    g, h = f.shifted(0.5), f.scaled(3.0)
-    assert g.jet is None and h.jet is None
-    assert (g.support.lo, g.support.hi) == (-0.5, 1.5)
-    assert (h.support.lo, h.support.hi) == (-1.0, 1.0)
-    xs = np.linspace(-1.0, 1.0, 9)  # multiples of 1/4: the shift is exact
-    assert g(xs + 0.5).tobytes() == np.cos(xs).tobytes()
-    assert h(xs).tobytes() == (3.0 * np.cos(xs)).tobytes()
-    assert abs(derivative(h, 0.2, 2) + 3.0 * math.cos(0.2)) <= 1e-6
+def test_test_function_is_given_by_its_jet():
+    # the old values-only form fails at construction, not inside a quadrature
+    with pytest.raises(TypeError):
+        TestFunction(np.cos, (-1.0, 1.0))
+    with pytest.raises(TypeError):
+        TestFunction((-1.0, 1.0))
+    f = bump(-2.0, -1.0, 1.0, 2.0)
+    g = TestFunction(f.support, jet=f.jet, label="g")
+    xs = np.linspace(-2.5, 2.5, 41)
+    assert g(xs).tobytes() == f(xs).tobytes()
+    assert derivative(g, xs, 3).tobytes() == derivative(f, xs, 3).tobytes()
 
 
-def test_test_function_takes_values_or_a_jet():
-    with pytest.raises(ValueError):
-        TestFunction(None, (0.0, 1.0))
-    with pytest.raises(ValueError):
-        TestFunction(np.sin, (0.0, 1.0), jet=lambda x, order: [np.sin(x)])
+def test_difference_quotient_taylor_form_in_a_transition_is_exact():
+    # the origin lies inside the rising transition, so f'(0) and f''(0) are nonzero
+    f = bump(-2.1, -1.2, 1.1, 1.9).shifted(1.5)
+    g = difference_quotient(f)
+    d1, d2 = derivative(f, 0.0, 1), derivative(f, 0.0, 2)
+    assert d1 != 0.0 and d2 != 0.0
+    xs = np.array([0.0, 3e-7, -1e-6, 0.5 * g.switch])
+    assert np.all(np.abs(xs) < g.switch)
+    assert g(xs).tobytes() == (d1 + xs * d2 / 2).tobytes()
 
 
 # -- Jets against the full-array formula: every step evaluated on every point
