@@ -34,4 +34,4 @@ g = difference_quotient(bump(-2.0, -1.0, 1.0, 2.0))
 print("\ndifference quotient g(x) = (f(x) - f(0))/x extends continuously:")
 print(f"  g(0) = f'(0) = {g(0.0)}")
 print(f"  g(1.5) = {g(1.5):.10f}  (exactly (0.5 - 1)/1.5)")
-print(f"  g(1e-8) = {g(1e-8)}  (Taylor branch, no cancellation)")
+print(f"  g(1e-8) = {g(1e-8)}  (integral of f'(t x) over t in [0, 1] below the switch)")

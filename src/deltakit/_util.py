@@ -1,4 +1,4 @@
-"""Small shared helpers: scalar/array dispatch and argument checks."""
+"""Small shared helpers: scalar/array dispatch, argument checks and Newton's method."""
 
 from __future__ import annotations
 
@@ -34,3 +34,18 @@ def require_count(value, name):
     if not (value >= 1.0 and value.is_integer()):
         raise ValueError(f"{name} must be an integer >= 1, got {value:g}")
     return int(value)
+
+
+def newton(fn, u, lo, hi, *, steps, tol):
+    """Take `steps` Newton steps on value = 0 from u, elementwise, where fn(u) gives
+    (value, slope, ...); return u and fn(u) there. Raises ArithmeticError if a step
+    leaves [lo, hi] or if |value| > tol at the result."""
+    for _ in range(steps):
+        value, slope = fn(u)[:2]
+        u = u - value / slope
+        if np.any((u < lo) | (u > hi)):
+            raise ArithmeticError("a Newton step left its bracket")
+    last = fn(u)
+    if np.any(np.abs(last[0]) > tol):
+        raise ArithmeticError(f"Newton missed its residual {tol:g}")
+    return u, last

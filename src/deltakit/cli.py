@@ -11,11 +11,11 @@ Exit codes: 0 all checks pass, 1 a tolerance/bound failed, 2 configuration
 error: a flag the subcommand does not take, a value its flag rejects (each
 number-list item a finite number; --interval lo < hi, --grid an integer >= 2,
 --fig 1..9), --params values a certificate cannot run on or has no place for,
-and an --out path that cannot be written. Messages read `deltakit <cmd>:
-error: argument --flag: ...`; a certificate's own rejection reads `deltakit
-certify: error: --params of <name>: ...`. Output is byte-for-byte
-deterministic for a fixed configuration (pairing sums panels in a fixed
-order); CSV prints floats with 17 significant digits, JSON the shortest round-trip repr.
+and an --out path that cannot be written. Each message reads `deltakit <cmd>:
+error: unrecognized arguments: ...`, `... argument --flag: ...` or, for a
+certificate's own rejection, `... --params of <name>: ...`. Output is
+byte-for-byte deterministic for a fixed configuration (pairing sums panels in
+a fixed order); CSV prints floats with 17 significant digits, JSON the shortest round-trip repr.
 """
 
 from __future__ import annotations
@@ -228,16 +228,19 @@ def _build_parser():
     p_fig.add_argument("--grid", type=_checked(int, "an integer >= 2", lambda n: n >= 2),
                        help="grid points (>= 2)")
     add_output(p_fig, "csv", "fig<N>.csv for CSV, stdout for JSON")
-    return parser, p_cert
+    return parser, {"pair": p_pair, "certify": p_cert, "figure": p_fig}
 
 
 def main(argv=None):
-    parser, certify_parser = _build_parser()
-    config = RunConfig(**vars(parser.parse_args(argv)))
+    parser, commands = _build_parser()
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:  # reported under the subcommand's usage, like its other rejections
+        commands[args.command].error(f"unrecognized arguments: {' '.join(unknown)}")
+    config = RunConfig(**vars(args))
     if config.command == "pair":
         return cmd_pair(config)
     if config.command == "certify":
-        return cmd_certify(config, certify_parser)
+        return cmd_certify(config, commands["certify"])
     return cmd_figure(config)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from ._util import require_positive
 from .families import lorentz_delta, sinc_delta
-from .quadrature import adaptive_quad, half_period_cap
+from .quadrature import QuadratureError, adaptive_quad, half_period_cap
 from .special import si
 from .testfn import Interval, derivative, difference_quotient
 
@@ -96,10 +96,11 @@ def pair_lorentz(eps, f, *, tol=1e-10):
 def sine_decay_fit(g, interval, r_list):
     """Measure I(r) = integral of g(x) sin(r x) and fit its decay exponent.
 
+    g must have a jet (a TestFunction or DifferenceQuotient), which gives g'.
     For continuously differentiable g the integration-by-parts constant
-    C = |g(hi)| + |g(lo)| + integral |g'| bounds |I(r)| by C/r; the bound is
-    verified and a violation raises ArithmeticError (it would indicate a
-    numerical failure, not a property of g).
+    C = |g(hi)| + |g(lo)| + integral |g'| bounds |I(r)| by C/r; a violation
+    raises ArithmeticError (a numerical failure, not a property of g), and a
+    sample or the bound integral that does not converge QuadratureError.
     """
     iv = Interval.coerce(interval)
     rs = [float(r) for r in r_list]
@@ -110,11 +111,14 @@ def sine_decay_fit(g, interval, r_list):
     for r in rs:
         res = adaptive_quad(lambda x: np.asarray(g(x), dtype=float) * np.sin(r * x),
                             iv.lo, iv.hi, tol=SINE_DECAY_TOL, max_panel=half_period_cap(r))
+        if not res.converged:
+            raise QuadratureError(f"sine_decay_fit: the integral at r = {r:g} did not converge")
         samples.append((r, res.value))
 
-    gprime_l1 = adaptive_quad(lambda x: np.abs(derivative(g, x, 1)),
-                              iv.lo, iv.hi, tol=1e-8).value
-    bound_const = abs(float(g(iv.hi))) + abs(float(g(iv.lo))) + gprime_l1
+    bound = adaptive_quad(lambda x: np.abs(derivative(g, x, 1)), iv.lo, iv.hi, tol=1e-8)
+    if not bound.converged:
+        raise QuadratureError("sine_decay_fit: the bound integral of |g'| did not converge")
+    bound_const = abs(float(g(iv.hi))) + abs(float(g(iv.lo))) + bound.value
     for r, value in samples:
         if abs(value) > bound_const / r + 1e-9:
             raise ArithmeticError(

@@ -317,21 +317,18 @@ def check_equivalent(a, b, interval=(-5.0, 5.0), n_max=50, tol=1e-2):
 def seq_derivative(seq):
     """Differentiate a sequential distribution by shifting the primitive tower.
 
-    The result's term is the old term's x-derivative (closed form when
-    available, finite differences otherwise); its level-1 primitive is the old
-    term, and the primitive order grows by one.
+    The result's term is the old term's declared closed-form x-derivative
+    (term_derivative); without one, evaluating it raises ValueError. Its
+    level-1 primitive is the old term, and the primitive order grows by one.
     """
-    if seq.term_derivative is not None:
-        new_term = seq.term_derivative
-    else:
-        old_term = seq.term
-        new_term = lambda n, x: derivative(lambda t: old_term(n, t), x, 1)
+    def no_term(n, x):
+        raise ValueError(f"{seq.label} declares no term_derivative: d/dx {seq.label} has no term")
+
     return FundamentalSeq(
-        term=new_term,
+        term=seq.term_derivative or no_term,
         primitive_order=seq.primitive_order + 1,
         primitives=(seq.term,) + seq.primitives,
         limit_of_primitives=seq.limit_of_primitives,
-        term_derivative=None,
         label=f"d/dx {seq.label}",
         panel_hint=seq.panel_hint)
 

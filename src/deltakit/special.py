@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from ._util import as_float_array, maybe_scalar, require_positive
+from ._util import as_float_array, maybe_scalar, newton, require_positive
 from .quadrature import QuadResult, _quad_rows, adaptive_quad
 
 __all__ = ["si", "si_half_pi_roots", "dirichlet_tail", "sinc_sq_integral", "fubini_square"]
@@ -173,12 +173,10 @@ def si_half_pi_roots(upper):
     """The roots of Si(u) = pi/2 in (0, upper], one per half-period (k pi, (k+1) pi).
 
     u_1 = 1.9264. Each is 8 Newton steps from pi/2 + k pi, with sinc as Si'. Raises
-    ArithmeticError if a root leaves its half-period or |si(u) - pi/2| > 1e-15."""
-    u = mid = HALF_PI + np.arange(int(float(upper) // math.pi) + 1) * math.pi
-    for _ in range(8):
-        u = u - (si(u) - HALF_PI) / sinc(u)
-    if np.any(np.abs(u - mid) >= HALF_PI) or np.any(np.abs(si(u) - HALF_PI) > 1e-15):
-        raise ArithmeticError("Newton on Si(u) = pi/2 left a half-period or missed its residual")
+    ArithmeticError if a step leaves its half-period or |si(u) - pi/2| > 1e-15."""
+    mid = HALF_PI + np.arange(int(float(upper) // math.pi) + 1) * math.pi
+    u, _ = newton(lambda u: (si(u) - HALF_PI, sinc(u)), mid, mid - HALF_PI, mid + HALF_PI,
+                  steps=8, tol=1e-15)
     return u[u <= upper]
 
 

@@ -10,8 +10,7 @@ at the points strictly inside a transition interval; at every other point a
 step or bump is the exact constant 0 or 1 with higher coefficients 0. The
 bump's two transitions are disjoint, so each point takes at most one step's
 jet and the bump forms no product of jets. A TestFunction is given by its
-jet alone, and derivative(f, x, k) reads f^(k)(x) off it, exact to rounding;
-only plain callables get central finite differences.
+jet alone, and derivative(f, x, k) reads f^(k)(x) off it, exact to rounding.
 """
 
 from __future__ import annotations
@@ -21,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import EPS, as_float_array, maybe_scalar
+from ._util import as_float_array, maybe_scalar
+from .quadrature import GAUSS_WEIGHTS, KRONROD_WEIGHTS, NODES
 
 __all__ = [
     "Interval",
@@ -41,9 +41,13 @@ __all__ = [
 # distance >= 0.01 from the knots.
 MOLLIFIER_KNEE = 1.0 / 745.0
 
-# Highest derivative order: the truncation order of the jets and the highest
-# finite-difference stencil.
+# Highest derivative order: the truncation order of the jets.
 MAX_DERIVATIVE_ORDER = 4
+
+# DifferenceQuotient's integral form: the 15-point Kronrod nodes mapped to [0, 1],
+# and the most equal panels it splits [0, 1] into.
+_UNIT_NODES = 0.5 * (NODES + 1.0)
+MAX_QUOTIENT_PANELS = 1024
 
 
 @dataclass(frozen=True)
@@ -250,63 +254,74 @@ def _bump_jet(up, down, x, order):
     return out
 
 
-def _stencil(f, x, h, order):
-    if order == 1:
-        return (f(x + h) - f(x - h)) / (2.0 * h)
-    if order == 2:
-        return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
-    if order == 3:
-        return (f(x + 2 * h) - 2.0 * f(x + h) + 2.0 * f(x - h) - f(x - 2 * h)) / (2.0 * h ** 3)
-    if order == 4:
-        return (f(x + 2 * h) - 4.0 * f(x + h) + 6.0 * f(x) - 4.0 * f(x - h) + f(x - 2 * h)) / h ** 4
-    raise ValueError(f"unsupported derivative order {order}")
-
-
 def derivative(f, x, order=1):
     """The order-th derivative of f at x, for orders 1..MAX_DERIVATIVE_ORDER.
 
-    Read off f.jet, exact to rounding, when f has one (every TestFunction and
-    SmoothStep). Only a plain callable gets a central finite difference with
-    one Richardson level, O(h^4), with step h = eps^(1/(order+2)) * max(1, |x|),
-    the standard truncation/roundoff tradeoff for each stencil.
+    Read off f.jet, exact to rounding (every TestFunction, SmoothStep and
+    DifferenceQuotient has one); an f without a jet raises TypeError.
     """
     order = int(order)
     if not 1 <= order <= MAX_DERIVATIVE_ORDER:
         raise ValueError(f"derivative order must be in [1, {MAX_DERIVATIVE_ORDER}], got {order}")
+    if not hasattr(f, "jet"):
+        raise TypeError(f"derivative reads f.jet(x, order), and {f!r} has no jet")
     arr, scalar = as_float_array(x)
-    jet = getattr(f, "jet", None)
-    if jet is not None:
-        return maybe_scalar(math.factorial(order) * jet(arr, order)[order], scalar)
-    h = EPS ** (1.0 / (order + 2)) * np.maximum(1.0, np.abs(arr))
-    coarse = _stencil(f, arr, h, order)
-    fine = _stencil(f, arr, 0.5 * h, order)
-    return maybe_scalar((4.0 * fine - coarse) / 3.0, scalar)
+    return maybe_scalar(math.factorial(order) * f.jet(arr, order)[order], scalar)
 
 
 class DifferenceQuotient:
-    """g(x) = (f(x) - f(0)) / x, extended continuously through 0.
+    """g(x) = (f(x) - f(0)) / x, extended continuously through 0, given by its jet.
 
-    Below the switch threshold (1e-6 of the support width) the quotient is
-    replaced by the Taylor form f'(0) + x f''(0) / 2, where cancellation in
-    f(x) - f(0) would otherwise dominate.
+    At |x| >= switch (0.0025 of the support width) the jet is the Taylor division
+    of x g = f - f(0): g_0 = (f_0 - f(0))/x, g_k = (f_k - g_(k-1))/x. Below it, where
+    that would cancel, it is the exact g_k(x) = (k+1) int_0^1 t^k f_(k+1)(t x) dt;
+    f's Taylor series at 0 may not reach x.
     """
 
     def __init__(self, f):
         self._f = f
-        # the Taylor coefficients f(0), f'(0) and f''(0)/2
-        self._f0, self._d1, self._c2 = map(float, f.jet(0.0, 2))
-        self.switch = 1e-6 * f.support.width
+        self._f0 = float(f(0.0))
+        self.switch = 0.0025 * f.support.width
 
     def __call__(self, x):
         arr, scalar = as_float_array(x)
+        return maybe_scalar(self.jet(arr, 0)[0], scalar)
+
+    def jet(self, x, order):
+        """Taylor coefficients g^(k)(x)/k! for k = 0..order, as a list of arrays."""
+        arr = np.asarray(x, dtype=float)
+        out = [np.empty(arr.shape) for _ in range(order + 1)]  # writable, 0-d input too
         small = np.abs(arr) < self.switch
-        safe = np.where(small, 1.0, arr)
-        out = np.where(small,
-                       self._d1 + self._c2 * arr,
-                       (self._f(arr) - self._f0) / safe)
-        return maybe_scalar(out, scalar)
+        xb, g, gs = arr[~small], self._f0, self._integral_jet(arr[small], order)
+        for k, fk in enumerate(self._f.jet(xb, order)):
+            g = (fk - g) / xb
+            out[k][~small], out[k][small] = g, gs[k]
+        return out
+
+    def _integral_jet(self, x, order):
+        """The integral form at the points x: the 15-point Kronrod rule on n equal panels of
+        [0, 1], n doubling at each x (a narrow transition of f may lie inside [0, x]) until
+        the embedded 7-point Gauss rule agrees on g_0 to 1e-12 of int |f'(t x)| dt, or of
+        sup |f| / width (65 samples) where f' is negligible. A shifted f's jet carries
+        relative rounding near 1e-12 there, so no tighter check can pass."""
+        out, todo, n = np.empty((order + 1, x.size)), np.arange(x.size), 1
+        k = np.arange(order + 1)[:, None, None]
+        while todo.size:
+            if n > MAX_QUOTIENT_PANELS:
+                raise ArithmeticError(f"the difference quotient of {self._f!r} at x = "
+                                      f"{x[todo[0]]!r} needs more than {MAX_QUOTIENT_PANELS} panels")
+            t = ((np.arange(n)[:, None] + _UNIT_NODES) / n).ravel()
+            fs = self._f.jet(np.multiply.outer(x[todo], t), order + 1)
+            terms = (k + 1) * np.array(fs[1:]) * t ** k / (2 * n)
+            kron = (terms * np.tile(KRONROD_WEIGHTS, n)).sum(-1)
+            err = np.abs(kron[0] - (terms[0] * np.tile(GAUSS_WEIGHTS, n)).sum(-1))
+            done = err <= 1e-12 * (np.abs(terms[0]) * np.tile(KRONROD_WEIGHTS, n)).sum(-1)
+            if not done.all():
+                s = self._f.support
+                done |= err <= 1e-12 * np.abs(self._f(np.linspace(s.lo, s.hi, 65))).max() / s.width
+            out[:, todo[done]] = kron[:, done]
+            todo, n = todo[~done], 2 * n
+        return out
 
 
-def difference_quotient(f):
-    """Continuous difference quotient of a TestFunction (g(0) = f'(0))."""
-    return DifferenceQuotient(f)
+difference_quotient = DifferenceQuotient

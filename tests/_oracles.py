@@ -1,8 +1,9 @@
 """Independent oracles used to generate (and re-check) frozen test values.
 
-Everything here goes through scipy's QUADPACK or closed forms, never through
-the package's own panel engine, so oracle and implementation stay on separate
-routes. Run this module directly to reprint the frozen constants.
+Everything here goes through scipy's QUADPACK, closed forms or central finite
+differences, never through the package's own panel engine or Taylor jets, so
+oracle and implementation stay on separate routes. Run this module directly
+to reprint the frozen constants.
 """
 
 import math
@@ -60,6 +61,33 @@ def _unit_step(x, lo, hi):
     b, db = _mollifier(hi - x)
     den = a + b
     return a / den, b / den, (da * b + a * db) / (den * den)
+
+
+def _stencil(f, x, h, order):
+    if order == 1:
+        return (f(x + h) - f(x - h)) / (2.0 * h)
+    if order == 2:
+        return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
+    if order == 3:
+        return (f(x + 2 * h) - 2.0 * f(x + h) + 2.0 * f(x - h) - f(x - 2 * h)) / (2.0 * h ** 3)
+    if order == 4:
+        return (f(x + 2 * h) - 4.0 * f(x + h) + 6.0 * f(x) - 4.0 * f(x - h) + f(x - 2 * h)) / h ** 4
+    raise ValueError(f"unsupported derivative order {order}")
+
+
+def fd_derivative(f, x, order=1):
+    """The order-th derivative (1..4) of a plain callable f by central differences.
+
+    One Richardson level over the central stencil, O(h^4), with step
+    h = eps^(1/(order+2)) * max(1, |x|), the standard truncation/roundoff
+    tradeoff for each stencil; a scalar x gives a float.
+    """
+    arr = np.asarray(x, dtype=float)
+    h = np.finfo(float).eps ** (1.0 / (order + 2)) * np.maximum(1.0, np.abs(arr))
+    coarse = _stencil(f, arr, h, order)
+    fine = _stencil(f, arr, 0.5 * h, order)
+    out = (4.0 * fine - coarse) / 3.0
+    return float(out) if arr.ndim == 0 else out
 
 
 def bump_oracle(knots, scale=1.0):

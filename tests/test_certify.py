@@ -1,4 +1,4 @@
-"""Exact sups of the sinc-family certificates against sampled ones.
+"""Exact sups of the certificates against sampled ones.
 
 A sup taken on grid points is a lower bound of the true sup. If |g''| <= M2
 on every cell of a grid of spacing h, the true sup of |g| is at most the
@@ -12,8 +12,10 @@ import math
 import numpy as np
 import pytest
 
-from deltakit import (check_zero_off_origin, lorentz_delta_n, lorentz_delta_seq,
-                      run_certificate, sinc_kink, sinc_step, sinc_step_seq)
+from deltakit import (bump, check_zero_off_origin, derivative, difference_quotient,
+                      lorentz_delta_n, lorentz_delta_seq, run_certificate, sinc_kink,
+                      sinc_step, sinc_step_seq)
+from deltakit import certify
 from deltakit.certify import _kink_sups
 from deltakit.seqdist import grid_sup
 
@@ -39,6 +41,43 @@ def test_dirichlet_sup_lies_between_the_grid_and_its_interpolation_bound(n, a):
     assert exact >= _grid_sup(sinc_step(n, old) - 0.5) - 1e-15
     fine, h = np.linspace(a, a + 5.0, 2_000_001, retstep=True)
     assert exact <= _grid_sup(sinc_step(n, fine) - 0.5) + (n * n / math.pi) * h * h / 8 + 1e-15
+
+
+def test_lemma5_sup_lies_between_the_grid_and_its_interpolation_bound():
+    S = run_certificate("lemma5_rate", 0.1).details["sup_difference_quotient"]
+    g = difference_quotient(bump(-2.0, -1.0, 1.0, 2.0))
+    old = np.linspace(-2.0, 2.0, 2001)
+    assert S >= _grid_sup(g(old)) + 3e-7  # that grid reads 3.6e-7 low
+    fine, h = np.linspace(-2.0, 2.0, 400_001, retstep=True)
+    m2 = np.max(np.abs(derivative(g, fine, 2)))
+    assert _grid_sup(g(fine)) - 1e-15 <= S <= _grid_sup(g(fine)) + m2 * h * h / 8 + 1e-15
+
+
+class _Gumbel:
+    """g(x) = exp(x - e^x), maximal at 0 with g(0) = 1/e, its g'' scaled by factor."""
+
+    def __init__(self, factor):
+        self.factor = factor
+
+    def __call__(self, x):
+        return self.jet(x, 0)[0]
+
+    def jet(self, x, order):
+        x = np.asarray(x, dtype=float)
+        g, d = np.exp(x - np.exp(x)), 1.0 - np.exp(x)
+        return [g, d * g, self.factor * (d * d - np.exp(x)) * g / 2][:order + 1]
+
+
+def test_critical_sup_takes_the_maximum_between_grid_points():
+    # the grid's three values put the vertex O(h^2) from 0; one Newton step ends at rounding
+    assert certify._critical_sup(_Gumbel(1.0), 2.0) == pytest.approx(math.exp(-1.0), abs=1e-16)
+
+
+@pytest.mark.parametrize("factor, match", [(1e-5, "bracket"), (1e5, "residual")])
+def test_critical_sup_raises_when_newton_leaves_its_cells_or_stalls(factor, match):
+    # a g'' far too small throws the step out of its two grid cells; far too large stalls it
+    with pytest.raises(ArithmeticError, match=match):
+        certify._critical_sup(_Gumbel(factor), 2.0)
 
 
 def test_lemma4_sup_is_the_same_fraction_of_the_bound_for_every_n():

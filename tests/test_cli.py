@@ -413,6 +413,7 @@ REJECTED = [
     (PAIR + ["--tol", "nan"], "--tol"),
     (["certify", "lemma4", "--grid", "7"], "--grid"),
     (["figure", "--fig", "8", "--tol", "1e-3"], "--tol"),
+    (["figure", "--fig", "2", "--params", "1"], "--params"),
     # grid, interval, figure id, tolerance and shift rules
     (FIGURE + ["--grid", "1"], "--grid"),
     (FIGURE + ["--grid", "2.5"], "--grid"),
@@ -449,9 +450,9 @@ def test_rejected_command_exits_2_naming_its_flag(argv, flag, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert flag in err
-    if argv[0] == "certify" and flag == "--params":
-        # a certificate's own rejection reports through the certify parser too
-        assert "deltakit certify: error:" in err and "usage: deltakit certify" in err
+    # every rejection, an unknown flag's and a certificate's own too, reports
+    # through its subcommand's parser
+    assert f"deltakit {argv[0]}: error:" in err and f"usage: deltakit {argv[0]}" in err
 
 
 def test_empty_certify_params_runs_the_defaults(capsys):

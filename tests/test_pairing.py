@@ -1,5 +1,6 @@
 """Pairing, the split identity, decay fits, and limit extrapolation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from deltakit import (QuadResult, QuadratureError, TestFunction, adaptive_quad,
                       bump, difference_quotient, extrapolate_limit, lorentz_delta,
                       pair, pair_lorentz, pair_sinc, pair_split, sinc_delta,
                       sinc_step, sine_decay_fit)
+from deltakit import pairing
 from deltakit.pairing import PAIR_TOL
 from deltakit.quadrature import half_period_cap
 
@@ -101,17 +103,23 @@ def test_split_limits():
     assert abs(t1) <= 1e-3            # oscillatory remainder
 
 
+def _line(slope):
+    """slope * x on [-1, 1], given by its jet (sine_decay_fit reads g' off it)."""
+    def jet(x, order):
+        x = np.asarray(x, dtype=float)
+        return [slope * x, np.full(x.shape, slope)][:order + 1] + [np.zeros(x.shape)] * (order - 1)
+    return TestFunction((-1.0, 1.0), jet=jet)
+
+
 def test_sine_decay_zero_function():
-    fit = sine_decay_fit(lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                         (-1.0, 1.0), [10.0, 20.0, 40.0])
+    fit = sine_decay_fit(_line(0.0), (-1.0, 1.0), [10.0, 20.0, 40.0])
     assert all(v == 0.0 for _, v in fit.samples)
     assert fit.n_excluded == 3
     assert math.isnan(fit.fitted_exponent)
 
 
 def test_sine_decay_linear_oracle():
-    fit = sine_decay_fit(lambda x: np.asarray(x, dtype=float), (-1.0, 1.0),
-                         [5.0, 10.0, 20.0])
+    fit = sine_decay_fit(_line(1.0), (-1.0, 1.0), [5.0, 10.0, 20.0])
     r, value = fit.samples[1]
     assert r == 10.0
     assert_allclose(value, I_10_LINEAR, atol=1e-10, rtol=0)
@@ -123,6 +131,26 @@ def test_sine_decay_difference_quotient_rate():
     fit = sine_decay_fit(g, (-2.0, 2.0), rs)
     assert fit.fitted_exponent <= -0.8
     assert fit.n_excluded == 0
+
+
+def test_sine_decay_raises_when_an_integral_does_not_converge(monkeypatch):
+    real = pairing.adaptive_quad
+
+    def unconverged(bound_only):
+        # the samples cap their panels at half a period; the bound integral does not
+        def quad(*args, **kwargs):
+            res = real(*args, **kwargs)
+            stop = not bound_only or "max_panel" not in kwargs
+            return dataclasses.replace(res, converged=res.converged and not stop)
+        return quad
+
+    g = difference_quotient(make_bump())
+    monkeypatch.setattr(pairing, "adaptive_quad", unconverged(False))
+    with pytest.raises(QuadratureError, match="integral at r = 10 did not converge"):
+        sine_decay_fit(g, (-2.0, 2.0), [10.0, 20.0])
+    monkeypatch.setattr(pairing, "adaptive_quad", unconverged(True))
+    with pytest.raises(QuadratureError, match=r"bound integral of \|g'\| did not converge"):
+        sine_decay_fit(g, (-2.0, 2.0), [10.0, 20.0])
 
 
 def test_sine_decay_validation():

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from _oracles import fd_derivative
 from deltakit import (FundamentalSeq, QuadratureError, bump, check_equivalent,
                       check_fundamental, check_zero_off_origin, damped_cos_seq,
-                      derivative, lorentz_delta_seq, pair_by_parts,
-                      scaled_cos_seq, seq_derivative, sinc_delta, sinc_delta_seq,
-                      sinc_step_seq, zero_seq)
-from deltakit import seqdist, testfn
+                      lorentz_delta_seq, pair_by_parts, scaled_cos_seq,
+                      seq_derivative, sinc_delta, sinc_delta_seq, sinc_step_seq,
+                      zero_seq)
+from deltakit import seqdist
 from deltakit.testfn import MAX_DERIVATIVE_ORDER
 
 
@@ -20,9 +21,9 @@ def test_tower_consistency():
     xs = np.concatenate([np.linspace(-5, -0.02, 30), np.linspace(0.02, 5, 30)])
     for seq in (sinc_delta_seq(), lorentz_delta_seq()):
         for n in (1, 5, 20):
-            d1 = derivative(lambda x: seq.primitive(1, n, x), xs, 1)
+            d1 = fd_derivative(lambda x: seq.primitive(1, n, x), xs, 1)
             assert np.max(np.abs(d1 - seq.primitive(0, n, xs))) <= 1e-6
-            d2 = derivative(lambda x: seq.primitive(2, n, x), xs, 1)
+            d2 = fd_derivative(lambda x: seq.primitive(2, n, x), xs, 1)
             assert np.max(np.abs(d2 - seq.primitive(1, n, xs))) <= 1e-6
 
 
@@ -123,7 +124,7 @@ def test_derivative_of_zero():
 
 
 def test_double_derivative_of_kink_sequence():
-    # the smoothed-kink sequence differentiated twice recovers the kernel
+    # the smoothed-kink sequence differentiated twice carries the kernel's tower
     from deltakit import half_abs, sinc_kink, sinc_step
     kinks = FundamentalSeq(term=sinc_kink, primitive_order=0,
                            limit_of_primitives=half_abs,
@@ -134,8 +135,9 @@ def test_double_derivative_of_kink_sequence():
     # tower levels are exact shifts of the closed forms
     assert_allclose(second.primitive(2, 5, xs), sinc_kink(5, xs), rtol=0, atol=0)
     assert_allclose(second.primitive(1, 5, xs), sinc_step(5, xs), rtol=0, atol=0)
-    # the new terms come from finite differences of the step closed form
-    assert np.max(np.abs(second.term(5, xs) - sinc_delta(5, xs))) <= 1e-6
+    # the first derivative declares no term derivative, so the second has no term
+    with pytest.raises(ValueError, match="d/dx kinks declares no term_derivative"):
+        second.term(5, xs)
 
 
 def test_derivative_respects_equivalence():
@@ -193,11 +195,7 @@ def test_pair_by_parts_extrapolated_without_limit():
     (bump(-2.1, -1.2, 1.1, 1.9), 1.5, 1.0),  # the origin lies in a transition
     (bump(-2.1, -1.2, 1.1, 1.9), -1.0, -0.75),
 ])
-def test_pair_by_parts_reads_exact_jets_of_shifted_scaled_bumps(monkeypatch, base, x0, c):
-    def no_stencil(*args):
-        raise AssertionError("a TestFunction must not take finite differences")
-
-    monkeypatch.setattr(testfn, "_stencil", no_stencil)
+def test_pair_by_parts_reads_exact_jets_of_shifted_scaled_bumps(base, x0, c):
     f = base.shifted(x0).scaled(c)
     for seq in (sinc_delta_seq(), lorentz_delta_seq()):
         assert abs(pair_by_parts(seq, f) - c * base(-x0)) <= 1e-13

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from _oracles import fd_derivative
 from deltakit import (Interval, TestFunction, bump, derivative,
                       difference_quotient, mollifier, smooth_step_down,
                       smooth_step_up)
-from deltakit.testfn import MOLLIFIER_KNEE
+from deltakit import testfn
+from deltakit.testfn import MAX_DERIVATIVE_ORDER, MOLLIFIER_KNEE
 
 # exp(-1), cross-checked against mpmath.exp(-1) to 30 digits
 EXP_MINUS_ONE = 0.36787944117144233
@@ -148,12 +150,13 @@ def test_difference_quotient_zero_function_near_zero():
 
 
 def test_difference_quotient_taylor_consistency():
-    # first derivative of g at 0 agrees with f''(0)/2 for a ramp-at-zero bump
-    f = bump(-0.5, 0.5, 1.5, 2.5)
+    # g'(0) = f''(0)/2, with the origin 0.1 below the midpoint of the rising
+    # transition, where f''(0) is far from 0 (at the midpoint it vanishes)
+    f = bump(-0.4, 0.6, 1.5, 2.5)
     g = difference_quotient(f)
-    lhs = derivative(g, 0.0, 1)
     rhs = 0.5 * derivative(f, 0.0, 2)
-    assert abs(lhs - rhs) <= 1e-5
+    assert rhs > 1.0
+    assert derivative(g, 0.0, 1) == pytest.approx(rhs, rel=1e-14)
 
 
 def test_difference_quotient_matches_quotient_away_from_zero():
@@ -203,24 +206,12 @@ def test_order_zero_jet_is_the_value_bit_for_bit():
     assert f(0.5) == 1.0 and isinstance(f(0.5), float)
 
 
-def test_plain_callable_uses_finite_differences():
-    calls = []
-
-    def sine(x):
-        calls.append(1)
-        return np.sin(x)
-
-    # one Richardson level over the central 2-point stencil: 4 evaluations
-    assert abs(derivative(sine, 0.7, 1) - math.cos(0.7)) <= 1e-10
-    assert len(calls) == 4
-
-
-def test_plain_callable_third_and_fourth_derivatives():
-    xs = np.array([-1.2, 0.3, 4.0])
-    assert_allclose(derivative(np.sin, xs, 3), -np.cos(xs), atol=1e-5, rtol=0)
-    assert_allclose(derivative(np.sin, xs, 4), np.sin(xs), atol=1e-3, rtol=0)
-    d4 = derivative(np.sin, 0.3, 4)
-    assert isinstance(d4, float) and d4 == derivative(np.sin, xs, 4)[1]
+def test_plain_callable_has_no_derivative():
+    # derivatives are read off jets only; finite differences live in the test oracles
+    for order in range(1, MAX_DERIVATIVE_ORDER + 1):
+        with pytest.raises(TypeError, match="has no jet"):
+            derivative(np.sin, 0.3, order)
+    assert abs(fd_derivative(np.sin, 0.3, 1) - math.cos(0.3)) <= 1e-10
 
 
 def test_test_function_is_given_by_its_jet():
@@ -236,15 +227,29 @@ def test_test_function_is_given_by_its_jet():
     assert derivative(g, xs, 3).tobytes() == derivative(f, xs, 3).tobytes()
 
 
-def test_difference_quotient_taylor_form_in_a_transition_is_exact():
-    # the origin lies inside the rising transition, so f'(0) and f''(0) are nonzero
-    f = bump(-2.1, -1.2, 1.1, 1.9).shifted(1.5)
+def test_difference_quotient_splits_its_integral_over_a_narrow_transition(monkeypatch):
+    # the origin is mid-way through a 0.02-wide transition, which changes on a
+    # scale near 0.02^2 / 8 = 5e-5: one 15-point panel over [0, x] is off by 5e-4
+    f = bump(-0.01, 0.01, 1.0, 1.02)
     g = difference_quotient(f)
-    d1, d2 = derivative(f, 0.0, 1), derivative(f, 0.0, 2)
-    assert d1 != 0.0 and d2 != 0.0
-    xs = np.array([0.0, 3e-7, -1e-6, 0.5 * g.switch])
-    assert np.all(np.abs(xs) < g.switch)
-    assert g(xs).tobytes() == (d1 + xs * d2 / 2).tobytes()
+    x = 0.9 * g.switch
+    assert g(x) == pytest.approx((f(x) - f(0.0)) / x, rel=1e-13)
+    monkeypatch.setattr(testfn, "MAX_QUOTIENT_PANELS", 4)
+    with pytest.raises(ArithmeticError, match="panels"):
+        g(x)
+
+
+def test_derivative_of_a_difference_quotient_reads_its_jet():
+    # the origin lies inside the rising transition, so g is not constant near 0
+    g = difference_quotient(bump(-2.1, -1.2, 1.1, 1.9).shifted(1.5))
+    xs = np.array([-0.8, -g.switch, -1e-4, 0.0, 1e-9, 0.5 * g.switch, g.switch, 0.3, 1.7])
+    for order in range(1, MAX_DERIVATIVE_ORDER + 1):
+        assert derivative(g, xs, order).tobytes() == \
+            (math.factorial(order) * g.jet(xs, order)[order]).tobytes()
+    assert g(xs).tobytes() == g.jet(xs, 0)[0].tobytes()
+    assert isinstance(g(0.0), float) and g(0.0) == g(xs)[3]
+    # against central differences of the values, on both sides of the switch
+    assert_allclose(derivative(g, xs, 1), fd_derivative(g, xs, 1), rtol=0, atol=1e-8)
 
 
 # -- Jets against the full-array formula: every step evaluated on every point
