@@ -8,14 +8,15 @@ signature names. Each flag's parser type converts and checks its value, so a
 command line parses straight into a RunConfig.
 
 Exit codes: 0 all checks pass, 1 a tolerance/bound failed, 2 configuration
-error: a flag the subcommand does not take, a value its flag rejects (each
-number-list item a finite number; --interval lo < hi, --grid an integer >= 2,
---fig 1..9), --params values a certificate cannot run on or has no place for,
-and an --out path that cannot be written. Each message reads `deltakit <cmd>:
-error: unrecognized arguments: ...`, `... argument --flag: ...` or, for a
-certificate's own rejection, `... --params of <name>: ...`. Output is
-byte-for-byte deterministic for a fixed configuration (pairing sums panels in
-a fixed order); CSV prints floats with 17 significant digits, JSON the shortest round-trip repr.
+error: a flag the subcommand does not take or that comes before it, a value
+its flag rejects (each number-list item a finite number; --interval lo < hi,
+--grid an integer >= 2, --fig 1..9), --params values a certificate cannot run
+on or has no place for, and an --out path that cannot be written. Each
+message reads `deltakit <cmd>: error: unrecognized arguments: ...`,
+`... argument --flag: ...` or, for a certificate's own rejection,
+`... --params of <name>: ...`. Output is byte-for-byte deterministic for a
+fixed configuration (pairing sums panels in a fixed order); CSV prints floats
+with 17 significant digits, JSON the shortest round-trip repr.
 """
 
 from __future__ import annotations
@@ -233,6 +234,13 @@ def _build_parser():
 
 def main(argv=None):
     parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = next((a for a in argv if a in commands), None)
+    if command and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
+        # argparse would read the flag's value as the command name and not name the flag
+        flag = argv[0].partition("=")[0]
+        commands[command].error(f"argument {flag}: a flag follows its subcommand: "
+                                f"deltakit {command} {flag} ...")
     args, unknown = parser.parse_known_args(argv)
     if unknown:  # reported under the subcommand's usage, like its other rejections
         commands[args.command].error(f"unrecognized arguments: {' '.join(unknown)}")

@@ -6,6 +6,12 @@ large, and sums panel contributions with `math.fsum`, which rounds the exact
 sum once, so results are deterministic bit-for-bit for a given panel set.
 One bisection loop refines a batch of rows, integrals of f(i, x) over the
 same interval; adaptive_quad is its one-row call.
+
+anchored_primitive_values integrates from 0 to many points at once with
+piecewise Chebyshev interpolants and their exact antiderivatives (Clenshaw &
+Curtis 1960; Trefethen, Approximation Theory and Approximation Practice,
+2013). Its cosine transform, antiderivative recurrence and Clenshaw
+evaluation also build special.si's table.
 """
 
 from __future__ import annotations
@@ -53,12 +59,17 @@ KRONROD_WEIGHTS = np.concatenate([_WK_HALF, [_WK_CENTER], _WK_HALF[::-1]])
 GAUSS_WEIGHTS = np.zeros(15)
 GAUSS_WEIGHTS[1:14:2] = np.concatenate([_WG_HALF, [_WG_CENTER], _WG_HALF[::-1]])
 
-# Bisection rounds after which adaptive_quad stops refining.
+# Bisection rounds after which adaptive_quad stops refining and
+# anchored_primitive_values raises, and the panel count at which both stop.
 MAX_ROUNDS = 64
+MAX_PANELS = 200_000
 
-# Nodes per block of _quad_rows' initial panels (a block holds >= 1 row) and per
-# integrand call of anchored_primitive_values: temporaries get reused, not refaulted.
+# Nodes per block of _quad_rows' initial panels (a block holds >= 1 row):
+# temporaries get reused, not refaulted.
 ROW_BLOCK_NODES = 2 ** 14
+
+# Chebyshev points per panel of anchored_primitive_values (degree 24 series).
+LIFT_POINTS = 25
 
 
 class QuadratureError(ArithmeticError):
@@ -92,14 +103,11 @@ def _call_integrand(f, pts):
     return out.reshape(pts.shape)
 
 
-def _panel_nodes(lo, hi):
-    """Kronrod nodes of a batch of panels (one row each) and their half-widths."""
+def _panel_rule(f, lo, hi):
+    """Kronrod-15 values and |K15 - G7| error estimates for a batch of panels."""
     hw = 0.5 * (hi - lo)
-    return (0.5 * (lo + hi))[:, None] + hw[:, None] * NODES, hw
-
-
-def _panel_sums(fx, pts, hw):
-    """Kronrod-15 values and |K15 - G7| error estimates from node values fx."""
+    pts = (0.5 * (lo + hi))[:, None] + hw[:, None] * NODES
+    fx = _call_integrand(f, pts)
     # row-wise reductions (not matmul): results are independent of batch shape.
     # One temporary serves both weighted sums; fx is never written, since an
     # integrand may return its argument pts.
@@ -112,12 +120,6 @@ def _panel_sums(fx, pts, hw):
     np.multiply(fx, GAUSS_WEIGHTS, out=weighted)
     g7 = hw * weighted.sum(axis=1)
     return k15, np.abs(k15 - g7)
-
-
-def _panel_rule(f, lo, hi):
-    """Kronrod-15 values and |K15 - G7| error estimates for a batch of panels."""
-    pts, hw = _panel_nodes(lo, hi)
-    return _panel_sums(_call_integrand(f, pts), pts, hw)
 
 
 def _initial_edges(edges, max_panel):
@@ -141,7 +143,7 @@ def half_period_cap(r):
 
 
 def adaptive_quad(f, a, b, *, tol=1e-10, max_panel=None, breakpoints=(),
-                  max_panels=200_000):
+                  max_panels=MAX_PANELS):
     """Integrate f over [a, b] adaptively.
 
     max_panel caps the initial panel width (half-period capping for
@@ -154,7 +156,7 @@ def adaptive_quad(f, a, b, *, tol=1e-10, max_panel=None, breakpoints=(),
                       breakpoints=breakpoints, max_panels=max_panels)[0]
 
 
-def _quad_rows(f, rows, a, b, *, tol, max_panel=None, breakpoints=(), max_panels=200_000):
+def _quad_rows(f, rows, a, b, *, tol, max_panel=None, breakpoints=(), max_panels=MAX_PANELS):
     """Integrate f(i, x) over [a, b] for each row i < rows: one QuadResult per row.
 
     f receives a column of row indices broadcast against the Kronrod nodes.
@@ -237,38 +239,113 @@ def _refine_rows(f, first, stop, edges, tol, max_panels, sign):
 
 
 def anchored_primitive_values(f, xs, *, tol=1e-10, max_panel=None, moments=1):
-    """Integrals of t^j f(t) from 0 to each x in xs, j = 0..moments-1, on shared knots.
+    """Integrals of t^j f(t) from 0 to each x in xs, j = 0..moments-1, on Chebyshev panels.
 
-    Builds the sorted knot set {0} ∪ xs, evaluates f once on the panel rule's
-    nodes of every inter-knot segment, integrates each moment segment by
-    segment (refining segments whose error estimate is out of budget), and
-    accumulates signed cumulative sums away from the anchor 0. Returns an
-    array of shape (moments,) + xs.shape; row 0 is the primitive of f. Raises
-    QuadratureError when a refined segment does not converge.
+    Cuts [min(xs, 0), max(xs, 0)] at 0 and into panels no wider than
+    max_panel, samples f at LIFT_POINTS first-kind Chebyshev points of each
+    panel, and bisects every panel on which some moment's last two
+    coefficients, |c_(n-2)| + |c_(n-1)|, exceed tol / (max(xs, 0) - min(xs, 0)):
+    2h times that sum estimates the panel's error, so the errors of all
+    panels add up to at most about tol. Each x is read off its panel's
+    integrated series, plus the panel integrals summed from the anchor 0.
+    Returns an array of shape (moments,) + xs.shape; row 0 is the primitive
+    of f. Raises ValueError for a non-finite x, and QuadratureError, naming a
+    panel, when panels still fail after MAX_ROUNDS rounds or would exceed
+    MAX_PANELS.
     """
     xs_arr = np.asarray(xs, dtype=float)
-    out = np.zeros((int(moments),) + xs_arr.shape)
-    knots = np.unique(np.concatenate([xs_arr.ravel(), [0.0]]))
-    if knots.size == 1:
-        return out
-    knots_fine = _initial_edges(knots, max_panel)
-    seg_lo, seg_hi = knots_fine[:-1], knots_fine[1:]
-    total_len = knots_fine[-1] - knots_fine[0]
-    budget = tol * np.maximum((seg_hi - seg_lo) / total_len, 1e-3 / seg_lo.size)
-    anchor = np.searchsorted(knots_fine, 0.0)
-    idx = np.searchsorted(knots_fine, xs_arr.ravel())
+    if not np.isfinite(xs_arr).all():
+        bad = xs_arr[~np.isfinite(xs_arr)][0]
+        raise ValueError(f"lifting points must be finite, got x={float(bad)!r}")
+    moments = int(moments)
+    lo_end, hi_end = xs_arr.min(initial=0.0), xs_arr.max(initial=0.0)
+    if lo_end == hi_end or moments == 0:
+        return np.zeros((moments,) + xs_arr.shape)
+    edges = _initial_edges(np.unique([lo_end, 0.0, hi_end]), max_panel)
+    lo, hi = edges[:-1], edges[1:]
+    coef = _lift_coefficients(f, lo, hi, moments)
+    for rounds in range(MAX_ROUNDS + 1):
+        tail = np.abs(coef[..., LIFT_POINTS - 2:LIFT_POINTS]).sum(axis=-1).max(axis=0)
+        split = tail > tol / (hi_end - lo_end)
+        if not split.any():
+            break
+        if rounds == MAX_ROUNDS or lo.size + split.sum() > MAX_PANELS:
+            i = split.argmax()
+            raise QuadratureError(
+                f"lifting did not converge on [{float(lo[i])!r}, {float(hi[i])!r}]")
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo, new_hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
+        lo, hi = np.concatenate([lo[~split], new_lo]), np.concatenate([hi[~split], new_hi])
+        coef = np.concatenate([coef[:, ~split], _lift_coefficients(f, new_lo, new_hi, moments)],
+                              axis=1)
 
-    pts, hw = _panel_nodes(seg_lo, seg_hi)
-    step = ROW_BLOCK_NODES // NODES.size
-    fx = np.concatenate([_call_integrand(f, pts[i:i + step]) for i in range(0, len(pts), step)])
-    for j in range(out.shape[0]):
-        vals, errs = _panel_sums(fx * pts ** j if j else fx, pts, hw)
-        moment = (lambda t, j=j: t ** j * f(t)) if j else f
-        for i in np.flatnonzero(errs > budget):
-            res = adaptive_quad(moment, seg_lo[i], seg_hi[i], tol=float(budget[i]))
-            if not res.converged:
-                raise QuadratureError(f"lifting did not converge on [{seg_lo[i]!r}, {seg_hi[i]!r}]")
-            vals[i] = res.value
-        cum = np.concatenate([[0.0], np.cumsum(vals)])
-        out[j] = (cum - cum[anchor])[idx].reshape(xs_arr.shape)
-    return out
+    order = lo.argsort()
+    lo, hi, coef = lo[order], hi[order], coef[:, order]
+    half = 0.5 * (hi - lo)
+    series = _chebyshev_antiderivative(coef, half[:, None])
+    # each panel's series is 0 at its left end, and its integral is its value at the right end
+    series[..., 0] = -(series[..., 1:] @ (-1.0) ** np.arange(1, LIFT_POINTS + 1))
+    rise = series.sum(axis=-1)
+    start = np.concatenate([np.zeros((moments, 1)), rise.cumsum(axis=-1)], axis=-1)
+    series[..., 0] += start[:, :-1] - start[:, lo.searchsorted(0.0), None]
+    flat = xs_arr.ravel()
+    k = np.clip(lo.searchsorted(flat, side="right") - 1, 0, lo.size - 1)
+    t = (flat - lo[k]) / half[k] - 1.0
+    return _clenshaw(np.moveaxis(series, -1, 0).copy(), k, t).reshape((moments,) + xs_arr.shape)
+
+
+def _lift_coefficients(f, lo, hi, moments):
+    """Chebyshev coefficients of t^j f(t), j < moments, on each panel [lo, hi]:
+    shape (moments, panels, n + 2), from one integrand call."""
+    half = 0.5 * (hi - lo)
+    pts = (lo + half)[:, None] + half[:, None] * _LIFT_COSINES[1]
+    fx = _call_integrand(f, pts)
+    if not np.isfinite(fx).all():
+        raise QuadratureError(
+            f"integrand returned a non-finite value near x={pts[~np.isfinite(fx)][0]!r}")
+    return np.stack([_chebyshev_coefficients(fx * pts ** j if j else fx, _LIFT_COSINES)
+                     for j in range(moments)])
+
+
+def _chebyshev_cosines(n):
+    """Row m holds T_m at the n first-kind Chebyshev points cos((i + 1/2) pi / n):
+    row 1 is the points themselves, in decreasing order."""
+    theta = (np.arange(n) + 0.5) * (math.pi / n)
+    return np.cos(np.outer(np.arange(n), theta))
+
+
+_LIFT_COSINES = _chebyshev_cosines(LIFT_POINTS)
+
+
+def _chebyshev_coefficients(values, cosines):
+    """Coefficients c_0..c_(n-1) of the interpolant through values (last axis: the
+    n points of _chebyshev_cosines) by the cosine transform, c_0 doubled, followed
+    by two zero columns for _chebyshev_antiderivative."""
+    n = cosines.shape[0]
+    c = np.zeros(values.shape[:-1] + (n + 2,))
+    c[..., :n] = (2.0 / n) * values @ cosines.T
+    return c
+
+
+def _chebyshev_antiderivative(c, half):
+    """Coefficients of an antiderivative of the series c (from _chebyshev_coefficients)
+    on pieces of half-width half, by the recurrence C_m = h (c_(m-1) - c_(m+1)) / (2m);
+    the constant term C_0 is left 0."""
+    n = c.shape[-1] - 2
+    coef = np.zeros(c.shape[:-1] + (n + 1,))
+    coef[..., 1:] = half * (c[..., :n] - c[..., 2:]) / (2 * np.arange(1, n + 1))
+    return coef
+
+
+def _clenshaw(coef, k, t):
+    """Sum of coef[m][..., k] T_m(t) by Clenshaw's recurrence: row m of coef holds
+    T_m's coefficient of every piece on its last axis (of every series on the
+    ones before), and k picks each point's piece."""
+    t2 = t + t
+    shape = coef.shape[1:-1] + t.shape
+    b0, b1, b2 = np.empty(shape), np.zeros(shape), np.zeros(shape)
+    for row in coef[:0:-1]:  # b_k goes into b_(k+2)'s buffer
+        np.add(row.take(k, axis=-1), np.multiply(t2, b1, out=b0), out=b0)
+        b0 -= b2
+        b0, b1, b2 = b2, b0, b1
+    return coef[0][..., k] + (t * b1 - b2)

@@ -241,41 +241,49 @@ def _grid(interval):
     return iv, np.linspace(iv.lo, iv.hi, DEFAULT_GRID)
 
 
-def _tail_diameters(values):
-    """cauchy_tail[i] = sup-grid diameter over members with index >= i."""
-    hi, lo = values[-1].copy(), values[-1].copy()  # the tail's running max and min
-    out = np.empty(len(values))
-    for i in range(len(values) - 1, -1, -1):
-        out[i] = np.max(np.maximum(hi, values[i], out=hi) - np.minimum(lo, values[i], out=lo))
-    return out
+def _tail_diameters(rows, size, target=None):
+    """Reduce rows given from the last member down to the first, keeping none.
+
+    Returns cauchy, where cauchy[i] is the sup-grid diameter over members with
+    index >= i, and, with a target, each member's sup |member - target| (else
+    None). Only the tail's running max and min are held between rows.
+    """
+    cauchy = np.empty(size)
+    errors = None if target is None else np.empty(size)
+    hi = lo = None
+    for i, row in zip(range(size - 1, -1, -1), rows):
+        if hi is None:
+            hi, lo = row.copy(), row.copy()
+        cauchy[i] = np.max(np.maximum(hi, row, out=hi) - np.minimum(lo, row, out=lo))
+        if target is not None:
+            errors[i] = np.max(np.abs(row - target))
+    return cauchy, errors
 
 
 def check_fundamental(seq, interval=(-5.0, 5.0), n_max=50, tol=1e-2, *, order=None):
     """Verify almost-uniform convergence of the level-k primitives on a grid.
 
-    Evaluates primitive(order, n, .) for n = 1..n_max and checks the sup-norm
-    Cauchy criterion: the tail diameter over members n >= n_max/2 must fall
-    below 2*tol (diameter is at most twice the distance to a limit). When the
-    level matches the declared limit, the sup errors against the limit must
-    also decrease below tol by n_max. The verdict fails when the sup errors
-    do not decrease. n_max must be an integer >= 2.
+    Evaluates primitive(order, n, .) for n = n_max down to 1, reducing each
+    row as it comes, and checks the sup-norm Cauchy criterion: the tail
+    diameter over members n >= n_max/2 must fall below 2*tol (diameter is at
+    most twice the distance to a limit). When the level matches the declared
+    limit, the sup errors against the limit must also decrease below tol by
+    n_max. The verdict fails when the sup errors do not decrease. n_max must
+    be an integer >= 2.
     """
     n_max = require_count(n_max, "n_max")
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     iv, xs = _grid(interval)
     k = seq.primitive_order if order is None else int(order)
-    ns = np.arange(1, n_max + 1)
-    values = np.vstack([np.asarray(seq.primitive(k, int(n), xs), dtype=float) for n in ns])
-
-    cauchy = _tail_diameters(values)
+    limit = seq.limit_of_primitives if k == seq.primitive_order else None
+    target = None if limit is None else np.asarray(limit(xs), dtype=float)
+    rows = (np.asarray(seq.primitive(k, n, xs), dtype=float) for n in range(n_max, 0, -1))
+    cauchy, sup_errors = _tail_diameters(rows, n_max, target)
     half = max(0, n_max // 2 - 1)
     cauchy_ok = cauchy[half] <= 2.0 * tol
 
-    limit = seq.limit_of_primitives if k == seq.primitive_order else None
     if limit is not None:
-        target = np.asarray(limit(xs), dtype=float)
-        sup_errors = np.max(np.abs(values - target), axis=1)
         bound_used = "sup |primitive_k(n, x) - limit(x)| on grid"
         decreasing = sup_errors[-1] <= sup_errors[0] or sup_errors[0] <= tol
         verdict = bool(cauchy_ok and sup_errors[-1] <= tol and decreasing)
@@ -285,7 +293,7 @@ def check_fundamental(seq, interval=(-5.0, 5.0), n_max=50, tol=1e-2, *, order=No
         decreasing = cauchy[half] <= 0.5 * cauchy[0] or cauchy[0] <= tol
         verdict = bool(cauchy_ok and decreasing)
 
-    return GridReport(interval=(iv.lo, iv.hi), n_values=tuple(int(n) for n in ns),
+    return GridReport(interval=(iv.lo, iv.hi), n_values=tuple(range(1, n_max + 1)),
                       sup_errors=tuple(float(e) for e in sup_errors),
                       verdict=verdict, bound_used=bound_used, tol=float(tol),
                       cauchy_tail=tuple(float(c) for c in cauchy))

@@ -18,7 +18,8 @@ import math
 import numpy as np
 
 from ._util import as_float_array, maybe_scalar, newton, require_positive
-from .quadrature import QuadResult, _quad_rows, adaptive_quad
+from .quadrature import (QuadResult, _chebyshev_antiderivative, _chebyshev_coefficients,
+                         _chebyshev_cosines, _clenshaw, _quad_rows, adaptive_quad)
 
 __all__ = ["si", "si_half_pi_roots", "dirichlet_tail", "sinc_sq_integral", "fubini_square"]
 
@@ -94,20 +95,15 @@ def _si_table():
     n = _SI_DEGREE
     edges = np.arange(int(_SI_SWITCH // math.pi) + 2) * math.pi
     left, half = edges[:-1, None], 0.5 * np.diff(edges)[:, None]
-    theta = (np.arange(n) + 0.5) * (math.pi / n)
-    cosines = np.cos(np.outer(np.arange(n), theta))  # row m: T_m at the nodes
+    cosines = _chebyshev_cosines(n)  # row m: T_m at the nodes
     # sin(left + offset) by angle addition, so each sample is taken at its
     # node exactly and not at the rounded sum
     offset = half * (cosines[1] + 1.0)
     values = (np.sin(left) * np.cos(offset) + np.cos(left) * np.sin(offset)) / (left + offset)
-    c = np.zeros((left.size, n + 2))  # sinc's coefficients, c[:, 0] doubled
-    c[:, :n] = (2.0 / n) * values @ cosines.T
-    m = np.arange(1, n + 1)
-    coef = np.empty((left.size, n + 1))
-    coef[:, 1:] = half * (c[:, :n] - c[:, 2:]) / (2 * m)
+    coef = _chebyshev_antiderivative(_chebyshev_coefficients(values, cosines), half)
     even = np.arange(2, n, 2)
     weights = (2.0 / n) * (1.0 + (2.0 / (1.0 - even * even)) @ cosines[even])
-    at_left = (-1.0) ** m  # T_m(-1)
+    at_left = (-1.0) ** np.arange(1, n + 1)  # T_m(-1)
     earlier = []  # Fejer terms of the earlier pieces: they sum to Si(k*pi)
     for row, rise in zip(coef, (half * weights * values).tolist()):
         row[0] = math.fsum([*earlier, *(-at_left * row[1:])])
@@ -119,14 +115,7 @@ def _si_chebyshev(ax):
     """Si on 0 <= ax <= switch: Clenshaw's recurrence on the piece holding ax."""
     left, half, coef = _si_table()
     k = np.minimum((ax / math.pi).astype(np.intp), half.size - 1)
-    t = (ax - left[k]) / half[k] - 1.0
-    t2 = t + t
-    b0, b1, b2 = np.empty_like(t), np.zeros_like(t), np.zeros_like(t)
-    for row in coef[:0:-1]:
-        np.add(row.take(k), np.multiply(t2, b1, out=b0), out=b0)  # b_k in b_(k+2)'s buffer
-        b0 -= b2
-        b0, b1, b2 = b2, b0, b1
-    return coef[0][k] + (t * b1 - b2)
+    return _clenshaw(coef, k, (ax - left[k]) / half[k] - 1.0)
 
 
 def _si_asymptotic(ax):

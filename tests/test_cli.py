@@ -414,6 +414,9 @@ REJECTED = [
     (["certify", "lemma4", "--grid", "7"], "--grid"),
     (["figure", "--fig", "8", "--tol", "1e-3"], "--tol"),
     (["figure", "--fig", "2", "--params", "1"], "--params"),
+    # a flag before its subcommand is named, not read as the command
+    (["--grid", "7", "figure", "--fig", "1"], "--grid"),
+    (["--tol", "1e-3"] + PAIR, "--tol"),
     # grid, interval, figure id, tolerance and shift rules
     (FIGURE + ["--grid", "1"], "--grid"),
     (FIGURE + ["--grid", "2.5"], "--grid"),
@@ -452,7 +455,10 @@ def test_rejected_command_exits_2_naming_its_flag(argv, flag, capsys):
     assert flag in err
     # every rejection, an unknown flag's and a certificate's own too, reports
     # through its subcommand's parser
-    assert f"deltakit {argv[0]}: error:" in err and f"usage: deltakit {argv[0]}" in err
+    command = next(a for a in argv if a in ("pair", "certify", "figure"))
+    assert f"deltakit {command}: error:" in err and f"usage: deltakit {command}" in err
+    if argv[0].startswith("-"):
+        assert "follows its subcommand" in err
 
 
 def test_empty_certify_params_runs_the_defaults(capsys):

@@ -1,8 +1,8 @@
 """Adaptive panel quadrature: the panel rule, convergence reporting, lifting."""
 
-import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ from _oracles import fd_derivative
 from deltakit import (FundamentalSeq, QuadResult, QuadratureError, adaptive_quad,
                       bump, derivative, fubini_square, half_abs, lorentz_delta,
                       lorentz_delta_n, lorentz_kink, lorentz_step, sinc_delta,
-                      sinc_kink)
+                      sinc_kink, sinc_step)
 from deltakit import quadrature
 from deltakit.quadrature import NODES, ROW_BLOCK_NODES, _panel_rule, _quad_rows
 from deltakit.special import FUBINI_TOL
@@ -171,18 +171,69 @@ def test_lifting_three_levels(n):
 
 
 def test_lifting_refines_segments_the_shared_panels_miss():
-    # one panel on each segment next to 0 reads 0.212 and 0.372 for a peak of
-    # width 1e-3; only refining those segments recovers arctan(x/eps)/pi
+    # one degree-24 Chebyshev panel on each side of 0 reads 0.359 for a peak of
+    # width 1e-3, against 0.5; only bisecting the panels at 0 recovers arctan(x/eps)/pi
     xs = np.array([-3.0, -1.0, 0.5, 3.0])
     prim = quadrature.anchored_primitive_values(lambda x: lorentz_delta(1e-3, x), xs)
     assert prim.shape == (1, 4)
     assert_allclose(prim[0], lorentz_step(1e3, xs), atol=1e-14, rtol=0)
 
 
-def test_lifting_raises_when_a_refined_segment_does_not_converge(monkeypatch):
-    real = quadrature.adaptive_quad
-    monkeypatch.setattr(quadrature, "adaptive_quad", lambda *args, **kwargs: dataclasses.replace(
-        real(*args, **kwargs), converged=False))
+def test_lifting_raises_when_its_bisection_does_not_converge(monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_ROUNDS", 1)
     xs = np.array([-3.0, -1.0, 0.5, 3.0])
     with pytest.raises(QuadratureError, match="did not converge"):
         quadrature.anchored_primitive_values(lambda x: lorentz_delta(1e-3, x), xs)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_lifting_rejects_a_non_finite_point_before_evaluating(bad):
+    def f(x):
+        raise AssertionError("f was evaluated")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"x={bad!r}"):
+            quadrature.anchored_primitive_values(f, [bad, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            quadrature.anchored_primitive_values(f, np.array([[0.5, 2.0], [bad, -1.0]]))
+
+
+def test_lifting_samples_fewer_points_than_the_grid_holds():
+    # the integrand is smooth on the scale 1/n: half-period panels of 25
+    # Chebyshev points resolve it, with no panel per grid gap
+    points = []
+
+    def term(t):
+        points.append(t.size)
+        return sinc_step(20, t)
+
+    xs = np.linspace(-3.7, 4.3, 2001)
+    prim = quadrature.anchored_primitive_values(term, xs, max_panel=math.pi / 20)
+    assert sum(points) < xs.size
+    assert_allclose(prim[0], sinc_kink(20, xs), atol=1e-10, rtol=0)
+
+
+def _poly_moments(xs, moments):
+    """Closed-form integrals of t^j (1 + 2t - 3t^2 + t^7/5) from 0 to xs."""
+    terms = ((1.0, 0), (2.0, 1), (-3.0, 2), (0.2, 7))
+    xs = np.asarray(xs, dtype=float)
+    return np.array([sum(a * xs ** (i + j + 1) / (i + j + 1) for a, i in terms)
+                     for j in range(moments)])
+
+
+@pytest.mark.parametrize("xs", [
+    np.float64(1.7),
+    np.array(-2.5),
+    np.array([0.25, 1.0, 3.0]),
+    np.array([-3.0, -0.5, -2.0]),
+    np.array([0.0, 1.5, -1.5, 1.5, 0.0, 2.0]),
+    np.array([[-1.0, 0.3], [2.2, -1.0], [0.0, 2.2]]),
+], ids=["0-d", "0-d negative", "right of 0", "left of 0", "zero and repeats", "2-D"])
+def test_lifting_keeps_the_shape_and_integrates_polynomials(xs):
+    poly = lambda t: 1.0 + 2.0 * t - 3.0 * t ** 2 + t ** 7 / 5.0
+    prim = quadrature.anchored_primitive_values(poly, xs, max_panel=0.5, moments=3)
+    want = _poly_moments(xs, 3)
+    assert prim.shape == (3,) + np.shape(xs)
+    assert_allclose(prim, want, atol=1e-13 * max(1.0, np.abs(want).max()), rtol=0)
+    assert quadrature.anchored_primitive_values(poly, xs, moments=0).shape == (0,) + np.shape(xs)

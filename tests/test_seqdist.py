@@ -265,10 +265,12 @@ def test_tail_diameters_match_the_two_accumulate_formula(shape):
     values[rng.random(shape) < 0.05] = np.inf
     values[rng.random(shape) < 0.05] = -np.inf
     values[-1, 0] = np.inf  # a column whose last member alone is +inf
+    target = rng.standard_normal(shape[1])
     with np.errstate(invalid="ignore"):  # inf - inf in a column that stays at +inf
         want = _two_accumulate_tail_diameters(values)
-        got = seqdist._tail_diameters(values)
+        got, errors = seqdist._tail_diameters(iter(values[::-1]), len(values), target)
     assert got.tobytes() == want.tobytes()
+    assert errors.tobytes() == np.max(np.abs(values - target), axis=1).tobytes()
 
 
 def test_zero_seq_lifts_nothing(monkeypatch):
