@@ -103,7 +103,7 @@ def sine_decay_fit(g, interval, r_list):
     sample or the bound integral that does not converge QuadratureError.
     """
     iv = Interval.coerce(interval)
-    rs = [float(r) for r in r_list]
+    rs = [require_positive(r, "r") for r in r_list]
     if len(rs) < 2 or any(b <= a for a, b in zip(rs, rs[1:])):
         raise ValueError("r_list must be increasing with at least 2 entries")
 

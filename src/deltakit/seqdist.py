@@ -85,11 +85,10 @@ class FundamentalSeq:
     """Indexed sequence of continuous functions with an anchored primitive tower.
 
     term(n, x) evaluates the n-th member; primitives holds closed-form
-    anchored primitives for levels 1..len(primitives). Levels up to
-    primitive_order beyond the closed forms are lifted numerically, all in
-    one pass: Cauchy's formula for repeated integration turns m missing
-    levels into m moments of the top closed level, which one anchored
-    quadrature over shared knots computes (tolerance LIFT_TOL). off_origin,
+    anchored primitives for levels 1..len(primitives). A level beyond the
+    closed forms is lifted numerically from the top closed level, all
+    missing levels in one anchored_primitive_values call that integrates
+    its Chebyshev panels once per level (tolerance LIFT_TOL). off_origin,
     an OffOriginBound, is what check_zero_off_origin holds the sequence to
     away from the origin; by default its terms must fall below
     OFF_ORIGIN_TOL. label is only displayed. Immutable.
@@ -126,18 +125,8 @@ class FundamentalSeq:
         top = len(self.primitives)
         if level <= top:
             return self.primitives[level - 1](n, x)
-        # Cauchy's formula for repeated integration lifts the m missing levels
-        # in one pass: P_{top+m}(x) is the sum over j < m of
-        # C(m-1, j) x^(m-1-j) (-1)^j M_j(x) / (m-1)!, where M_j(x) is the
-        # integral of t^j P_top(t) from 0 to x.
-        m = level - top
-        moments = anchored_primitive_values(lambda t: self.primitive(top, n, t), x,
-                                            tol=LIFT_TOL, max_panel=self._max_panel(n),
-                                            moments=m)
-        x = np.asarray(x, dtype=float)
-        lifted = sum(math.comb(m - 1, j) * (-1) ** j * x ** (m - 1 - j) * moments[j]
-                     for j in range(1, m))
-        return (x ** (m - 1) * moments[0] + lifted) / math.factorial(m - 1)
+        return anchored_primitive_values(lambda t: self.primitive(top, n, t), x, tol=LIFT_TOL,
+                                         max_panel=self._max_panel(n), levels=level - top)
 
 
 def grid_sup(quantity):

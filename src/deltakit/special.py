@@ -19,7 +19,8 @@ import numpy as np
 
 from ._util import as_float_array, maybe_scalar, newton, require_positive
 from .quadrature import (QuadResult, _chebyshev_antiderivative, _chebyshev_coefficients,
-                         _chebyshev_cosines, _clenshaw, _quad_rows, adaptive_quad)
+                         _chebyshev_cosines, _clenshaw, _quad_rows, adaptive_quad,
+                         anchored_primitive_values)
 
 __all__ = ["si", "si_half_pi_roots", "dirichlet_tail", "sinc_sq_integral", "fubini_square"]
 
@@ -181,21 +182,24 @@ def dirichlet_tail(x):
 
 
 def sinc_sq_integral(a, b):
-    """Integral of sin(y)^2 / y^2 over [a, b], 0 <= a < b (b may be inf).
+    """Integral of sin(y)^2 / y^2 over [a, b], 0 <= a < b; b may be an array, and inf.
 
-    The integrand is 1 at the removable singularity y = 0; b = inf is
-    evaluated as pi/2 minus the finite head.
+    Every end, a included, is read off one lift of the integrand from 0 (to
+    SINC_SQ_TOL, panels at most pi wide), which raises QuadratureError if it
+    does not converge; b = inf is pi/2 minus the head. A scalar b gives a float.
     """
     a = float(a)
+    b, scalar = as_float_array(b)
     if a < 0.0:
         raise ValueError("sinc_sq_integral requires a >= 0")
-    if not b > a:
+    if not np.all(b > a):
         raise ValueError("sinc_sq_integral requires b > a")
-    if math.isinf(b):
-        if a == 0.0:
-            return HALF_PI
-        return HALF_PI - sinc_sq_integral(0.0, a)
-    return adaptive_quad(_sinc_sq, a, b, tol=SINC_SQ_TOL, max_panel=math.pi).value
+    finite = np.isfinite(b)
+    ends = np.full(b.shape, HALF_PI)
+    heads = anchored_primitive_values(_sinc_sq, np.append(a, b[finite]), tol=SINC_SQ_TOL,
+                                      max_panel=math.pi)
+    ends[finite] = heads[1:]
+    return maybe_scalar(ends - heads[0], scalar)
 
 
 def fubini_square(R, order="x_first"):

@@ -160,6 +160,15 @@ def test_sine_decay_validation():
         sine_decay_fit(lambda x: x, (-1.0, 1.0), [10.0, 5.0])
 
 
+@pytest.mark.parametrize("rs", [[0.0, 10.0], [-10.0, 10.0], [math.nan, 10.0], [10.0, math.inf]])
+def test_sine_decay_rejects_a_non_positive_r(rs):
+    def g(x):
+        raise AssertionError("g was evaluated")
+
+    with pytest.raises(ValueError, match="r must be"):
+        sine_decay_fit(g, (-1.0, 1.0), rs)
+
+
 def test_pair_lorentz_convergence():
     f = make_bump()
     res = pair_lorentz(1e-3, f)

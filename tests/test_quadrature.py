@@ -175,8 +175,8 @@ def test_lifting_refines_segments_the_shared_panels_miss():
     # width 1e-3, against 0.5; only bisecting the panels at 0 recovers arctan(x/eps)/pi
     xs = np.array([-3.0, -1.0, 0.5, 3.0])
     prim = quadrature.anchored_primitive_values(lambda x: lorentz_delta(1e-3, x), xs)
-    assert prim.shape == (1, 4)
-    assert_allclose(prim[0], lorentz_step(1e3, xs), atol=1e-14, rtol=0)
+    assert prim.shape == (4,)
+    assert_allclose(prim, lorentz_step(1e3, xs), atol=1e-14, rtol=0)
 
 
 def test_lifting_raises_when_its_bisection_does_not_converge(monkeypatch):
@@ -211,15 +211,16 @@ def test_lifting_samples_fewer_points_than_the_grid_holds():
     xs = np.linspace(-3.7, 4.3, 2001)
     prim = quadrature.anchored_primitive_values(term, xs, max_panel=math.pi / 20)
     assert sum(points) < xs.size
-    assert_allclose(prim[0], sinc_kink(20, xs), atol=1e-10, rtol=0)
+    assert_allclose(prim, sinc_kink(20, xs), atol=1e-10, rtol=0)
 
 
-def _poly_moments(xs, moments):
-    """Closed-form integrals of t^j (1 + 2t - 3t^2 + t^7/5) from 0 to xs."""
+def _poly_primitive(xs, level):
+    """Closed level-fold primitive of 1 + 2t - 3t^2 + t^7/5 anchored at 0:
+    t^i integrates to x^(i+level) i!/(i+level)!."""
     terms = ((1.0, 0), (2.0, 1), (-3.0, 2), (0.2, 7))
     xs = np.asarray(xs, dtype=float)
-    return np.array([sum(a * xs ** (i + j + 1) / (i + j + 1) for a, i in terms)
-                     for j in range(moments)])
+    return sum(a * xs ** (i + level) * math.factorial(i) / math.factorial(i + level)
+               for a, i in terms)
 
 
 @pytest.mark.parametrize("xs", [
@@ -232,8 +233,43 @@ def _poly_moments(xs, moments):
 ], ids=["0-d", "0-d negative", "right of 0", "left of 0", "zero and repeats", "2-D"])
 def test_lifting_keeps_the_shape_and_integrates_polynomials(xs):
     poly = lambda t: 1.0 + 2.0 * t - 3.0 * t ** 2 + t ** 7 / 5.0
-    prim = quadrature.anchored_primitive_values(poly, xs, max_panel=0.5, moments=3)
-    want = _poly_moments(xs, 3)
-    assert prim.shape == (3,) + np.shape(xs)
-    assert_allclose(prim, want, atol=1e-13 * max(1.0, np.abs(want).max()), rtol=0)
-    assert quadrature.anchored_primitive_values(poly, xs, moments=0).shape == (0,) + np.shape(xs)
+    for level in (1, 2, 3):
+        prim = quadrature.anchored_primitive_values(poly, xs, max_panel=0.5, levels=level)
+        want = _poly_primitive(xs, level)
+        assert np.shape(prim) == np.shape(xs)
+        assert type(prim) is (float if np.ndim(xs) == 0 else np.ndarray)
+        assert_allclose(prim, want, atol=1e-13 * max(1.0, np.abs(want).max()), rtol=0)
+    with pytest.raises(ValueError, match="levels must be"):
+        quadrature.anchored_primitive_values(poly, xs, levels=0)
+
+
+def test_lifting_three_levels_far_from_the_anchor():
+    # the closed third primitive of n cos(n x) is (x - sin(n x)/n)/n; at |x| = 20 the
+    # moments t^j P(t) of a repeated-integration formula outgrow the lift's tolerance
+    n, xs = 7, np.linspace(-20.0, 20.0, 2001)
+    seq = _open_tower(_scaled_cos, lambda n: min(0.5, math.pi / n))
+    assert_allclose(seq.primitive(3, n, xs), (xs - np.sin(n * xs) / n) / n, atol=1e-11, rtol=0)
+
+
+def test_lifted_level_of_a_scalar_is_a_float():
+    seq = _open_tower(_scaled_cos, lambda n: min(0.5, math.pi / n))
+    for level in (1, 2, 3):
+        value = seq.primitive(level, 7, 1.3)
+        assert type(value) is float
+        assert value == seq.primitive(level, 7, np.array([1.3]))[0]
+
+
+def test_first_cut_fits_in_max_panels():
+    # 10 000 panels of width 0.01 would pass max_panels; a wider cap fits 1000
+    res = adaptive_quad(np.sin, 0.0, 100.0, max_panel=0.01, max_panels=1000)
+    assert res.panels_used <= 1000 and res.converged
+    assert abs(res.value - (1.0 - math.cos(100.0))) <= 1e-12
+
+
+def test_lifting_raises_before_sampling_past_max_panels(monkeypatch):
+    def f(x):
+        raise AssertionError("f was evaluated")
+
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 100)
+    with pytest.raises(QuadratureError, match="needs 1000 panels"):
+        quadrature.anchored_primitive_values(f, [0.0, 100.0], max_panel=0.1)

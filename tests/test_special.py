@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from _si_grid import SEAMS, si_grid
 from numpy.testing import assert_allclose
 
-from deltakit import dirichlet_tail, fubini_square, si, sinc_sq_integral, sinc_step, special
+from deltakit import (QuadratureError, dirichlet_tail, fubini_square, quadrature, si,
+                      sinc_sq_integral, sinc_step, special)
 from deltakit.special import si_half_pi_roots
 
 # QUADPACK oracle values (see tests/_oracles.py), double-checked with mpmath
@@ -108,6 +109,25 @@ def test_sinc_sq_integral_validation():
         sinc_sq_integral(2.0, 2.0)
     with pytest.raises(ValueError):
         sinc_sq_integral(2.0, 1.0)
+
+
+def test_sinc_sq_integral_reads_every_end_off_one_lift():
+    bs = np.array([[1.5, 3.0], [math.inf, 40.0]])
+    got = sinc_sq_integral(1.0, bs)
+    assert got.shape == bs.shape
+    assert_allclose(got.ravel(), [sinc_sq_integral(1.0, b) for b in bs.ravel()],
+                    atol=1e-12, rtol=0)
+    assert type(sinc_sq_integral(1.0, 2.0)) is float
+    with pytest.raises(ValueError, match="b > a"):
+        sinc_sq_integral(1.0, np.array([0.5, 3.0]))
+
+
+def test_sinc_sq_integral_raises_when_the_lift_does_not_converge(monkeypatch):
+    # a tolerance below rounding, which no panel meets, and one bisection round
+    monkeypatch.setattr(quadrature, "MAX_ROUNDS", 1)
+    monkeypatch.setattr(special, "SINC_SQ_TOL", 1e-30)
+    with pytest.raises(QuadratureError, match="did not converge"):
+        sinc_sq_integral(0.0, 50.0)
 
 
 def test_sinc_sq_additivity():
