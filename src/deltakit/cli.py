@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import sys
@@ -85,26 +86,28 @@ def _checked(convert, rule, test=lambda value: True):
 def _write_report(config, passed, header, rows, results, **fields):
     """Print or write one command's report in its format; return the exit code.
 
-    CSV is `header` and then `rows`; JSON is the envelope around `results` and
-    `fields`. Only the requested format is built, so `rows` and `results` may
-    be generators. Figure CSV goes to fig<N>.csv unless --out names a path; a
-    path that cannot be written exits 2.
+    CSV is the `header` line, then each chunk of whole lines as `rows` yields
+    it, so no report is joined in memory; JSON is the envelope around
+    `results` and `fields`. Only the requested format is built, so `rows` and
+    `results` may be generators. Figure CSV goes to fig<N>.csv unless --out
+    names a path; a path that cannot be opened exits 2 with nothing written.
     """
     path = config.output_path
     if config.format == "csv":
-        text = "\n".join([header, *rows]) + "\n"
+        chunks = itertools.chain([header + "\n"], rows)
         if path is None and config.command == "figure":
             path = f"fig{config.fig}.csv"
-    else:
-        text = json.dumps({"command": config.command, "config": dataclasses.asdict(config),
-                           "results": list(results), **fields,
-                           "verdict": "pass" if passed else "fail"}, indent=2, sort_keys=True)
+    else:  # printed with a final newline, written to a file without one
+        chunks = [json.dumps({"command": config.command, "config": dataclasses.asdict(config),
+                              "results": list(results), **fields,
+                              "verdict": "pass" if passed else "fail"}, indent=2, sort_keys=True),
+                  "\n" if path in (None, "-") else ""]
     if path in (None, "-"):
-        print(text, end="" if text.endswith("\n") else "\n")
+        sys.stdout.writelines(chunks)
     else:
         try:
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         except OSError as exc:
             print(f"deltakit {config.command}: error: argument --out: cannot write {path!r}: "
                   f"{exc.strerror}", file=sys.stderr)
@@ -125,8 +128,8 @@ def cmd_pair(config):
     passed = limit_error <= config.tolerance and all(res.converged for _, res in runs)
     return _write_report(
         config, passed, "param,value,abs_error_estimate",
-        ["%.17g,%.17g,%.17g" % (p, res.value, res.abs_error_estimate) for p, res in runs]
-        + ["limit,%.17g,%.17g" % (limit, limit_error)],
+        ["%.17g,%.17g,%.17g\n" % (p, res.value, res.abs_error_estimate) for p, res in runs]
+        + ["limit,%.17g,%.17g\n" % (limit, limit_error)],
         [{"param": p, "value": res.value, "abs_error_estimate": res.abs_error_estimate}
          for p, res in runs],
         extrapolated_limit=limit, target_value_at_zero=f0, abs_limit_error=limit_error)
@@ -139,7 +142,7 @@ def cmd_certify(config, certify_parser):
         certify_parser.error(f"--params of {config.certificate}: {exc}")
     return _write_report(
         config, report.passed, "certificate,verdict,summary",
-        [f"{report.name},{'pass' if report.passed else 'fail'},\"{report.summary}\""],
+        [f"{report.name},{'pass' if report.passed else 'fail'},\"{report.summary}\"\n"],
         [{"certificate": report.name, "summary": report.summary, "details": report.details}])
 
 
@@ -167,14 +170,16 @@ def _figure_series(config):
 
 
 def cmd_figure(config):
-    series = [(label, points.tolist(), values.tolist())
-              for label, points, values in _figure_series(config)]
+    series = _figure_series(config)
+    # one chunk per series; the x column of a grid that series share is formatted once
+    grids = {id(points): points for _, points, _ in series}
+    columns = {key: ["%.17g," % x for x in points.tolist()] for key, points in grids.items()}
     return _write_report(
         config, True, "x,value,series",
-        ("%.17g,%.17g,%s" % (x, v, label)
-         for label, points, values in series for x, v in zip(points, values)),
+        ("".join([x + "%.17g" % v + tail for x, v in zip(columns[id(points)], values.tolist())])
+         for label, points, values in series for tail in [f",{label}\n"]),
         ({"x": x, "value": v, "series": label}
-         for label, points, values in series for x, v in zip(points, values)))
+         for label, points, values in series for x, v in zip(points.tolist(), values.tolist())))
 
 
 @functools.cache

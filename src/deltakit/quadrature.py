@@ -219,6 +219,13 @@ def _refine_rows(f, first, stop, edges, tol, max_panels, sign):
             cand = (splittable & (row == r)).nonzero()[0]
             if cand.size:
                 mask[cand[errs[cand].argmax()]] = True
+        room = max_panels - count
+        if (np.bincount(row[mask], minlength=stop) > room).any():
+            # a split adds one panel: a row near the cap splits only its worst
+            # panels, as many as it has room for (ties in panel order)
+            cand = mask.nonzero()[0][np.lexsort((-errs[mask], row[mask]))]
+            rank = np.arange(cand.size) - row[cand].searchsorted(row[cand])
+            mask[cand[rank >= room[row[cand]]]] = False
         if not mask.any():
             break
         keep = ~mask

@@ -8,6 +8,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ import deltakit
 import deltakit.certify
 import deltakit.cli
 from deltakit.certify import certificate_names, run_certificate
-from deltakit.cli import main
+from deltakit.cli import RunConfig, _figure_series, main
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_ARGV = {
@@ -251,6 +252,40 @@ def test_figure_deterministic(tmp_path):
     main(["figure", "--fig", "7", "--grid", "101", "--out", str(p1)])
     main(["figure", "--fig", "7", "--grid", "101", "--out", str(p2)])
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("interval", [None, (-4.7, 5.3)])
+@pytest.mark.parametrize("fig", range(1, 10))
+def test_full_size_figure_bytes(fig, interval, tmp_path, capsys):
+    # every row from the figure's own arrays, each formatted on its own: the
+    # CLI formats a grid that several series share once, and figure 2's
+    # envelopes lie on the nonzero points, not on the grid
+    config = RunConfig("figure", fig=fig, **({} if interval is None else {"interval": interval}))
+    want = "x,value,series\n" + "".join(
+        "%.17g,%.17g,%s\n" % (x, v, label)
+        for label, points, values in _figure_series(config) for x, v in zip(points, values))
+    argv = ["figure", "--fig", str(fig)]
+    if interval is not None:
+        argv.append("--interval=%r,%r" % interval)
+    path = tmp_path / "fig.csv"
+    assert main([*argv, "--out", str(path)]) == 0
+    assert main([*argv, "--out", "-"]) == 0
+    assert path.read_text() == want
+    assert capsys.readouterr().out == want
+
+
+def test_figure_csv_is_written_without_joining_the_report(tmp_path):
+    # figure 1 is 40 020 rows (1.7 MB of CSV): streamed a series at a
+    # time, the traced peak stays well below the joined report
+    argv = ["figure", "--fig", "1", "--out", str(tmp_path / "fig1.csv")]
+    main(argv)  # builds the parser and the si table outside the measurement
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
 
 
 def test_figure_bad_id_exit_2(capsys):
