@@ -28,11 +28,11 @@ def require_positive(value, name):
     return value
 
 
-def require_count(value, name):
-    """An integer >= 1; an integral float such as 1000.0 counts as one."""
+def require_count(value, name, minimum=1):
+    """An integer >= minimum; an integral float such as 1000.0 counts as one."""
     value = float(value)
-    if not (value >= 1.0 and value.is_integer()):
-        raise ValueError(f"{name} must be an integer >= 1, got {value:g}")
+    if not (value >= minimum and value.is_integer()):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value:g}")
     return int(value)
 
 

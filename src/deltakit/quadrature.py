@@ -125,7 +125,10 @@ def _panel_rule(f, lo, hi):
 def _initial_edges(edges, max_panel):
     """Panel edges of sorted, distinct edges. With max_panel > 0 each segment
     [lo, hi] is cut into n_sub = ceil((hi - lo)/max_panel) panels whose k-th
-    edge is lo + k*((hi - lo)/n_sub), bit-identical to np.linspace."""
+    edge is lo + k*((hi - lo)/n_sub), bit-identical to np.linspace; None or
+    max_panel <= 0 leaves the edges uncut, and NaN raises ValueError."""
+    if max_panel is not None and math.isnan(max_panel):
+        raise ValueError(f"max_panel must be a number or None, got {max_panel!r}")
     if max_panel is None or max_panel <= 0:
         return edges
     lo = edges[:-1]
@@ -194,33 +197,27 @@ def _quad_rows(f, rows, a, b, *, tol, max_panel=None, breakpoints=(), max_panels
 def _refine_rows(f, first, stop, edges, tol, max_panels, sign):
     """The bisection loop of _quad_rows for rows first..stop-1.
 
-    Panels of all rows share flat arrays (row index, lo, hi, value, error);
-    each round keeps the unsplit panels, then appends the left and the right
-    halves, so every row sees its panels in the order a one-row loop has.
-    Per-row arrays are indexed by row; their entries below first are unused.
+    Panels of all rows share flat arrays (row index from 0, lo, hi, value,
+    error); each round keeps the unsplit panels, then appends the left and the
+    right halves, so every row sees its panels in the order a one-row loop has.
+    A round splits the panels over their row's share of tol that are wide
+    enough to split, in rows over tol and below max_panels; a row with no such
+    panel stops there, unconverged.
     """
     grid = edges[None].repeat(stop - first, 0)
     lo, hi = grid[:, :-1].ravel(), grid[:, 1:].ravel()
-    row = np.arange(first, stop).repeat(edges.size - 1)
-    vals, errs = _panel_rule(lambda x: f(row[:, None], x), lo, hi)
+    row = np.arange(stop - first).repeat(edges.size - 1)
+    vals, errs = _panel_rule(lambda x: f(first + row[:, None], x), lo, hi)
 
     for _ in range(MAX_ROUNDS):
-        total = np.bincount(row, errs, stop)
+        total = np.bincount(row, errs, stop - first)
         if total.max() <= tol:
             break
-        count = np.bincount(row, minlength=stop)
-        refine = ~(total <= tol) & (count < max_panels)
+        count = np.bincount(row, minlength=stop - first)
+        room = np.where(total <= tol, 0, max_panels - count)
         splittable = (hi - lo) > 16.0 * EPS * np.maximum(1.0, np.abs(lo) + np.abs(hi))
-        splittable &= refine[row]
-        mask = (errs > tol / (2.0 * count[row])) & splittable
-        # a row with nothing over its per-panel share splits its worst panel
-        refine[row[mask]] = False
-        for r in refine.nonzero()[0]:
-            cand = (splittable & (row == r)).nonzero()[0]
-            if cand.size:
-                mask[cand[errs[cand].argmax()]] = True
-        room = max_panels - count
-        if (np.bincount(row[mask], minlength=stop) > room).any():
+        mask = (errs > tol / (2.0 * count[row])) & (room[row] > 0) & splittable
+        if (np.bincount(row[mask], minlength=stop - first) > room).any():
             # a split adds one panel: a row near the cap splits only its worst
             # panels, as many as it has room for (ties in panel order)
             cand = mask.nonzero()[0][np.lexsort((-errs[mask], row[mask]))]
@@ -235,7 +232,7 @@ def _refine_rows(f, first, stop, edges, tol, max_panels, sign):
         lo = np.concatenate([lo[keep], split_lo, mid])
         hi = np.concatenate([hi[keep], mid, split_hi])
         new = slice(-2 * split_row.size, None)
-        new_vals, new_errs = _panel_rule(lambda x: f(row[new, None], x), lo[new], hi[new])
+        new_vals, new_errs = _panel_rule(lambda x: f(first + row[new, None], x), lo[new], hi[new])
         vals = np.concatenate([vals[keep], new_vals])
         errs = np.concatenate([errs[keep], new_errs])
 
@@ -243,7 +240,7 @@ def _refine_rows(f, first, stop, edges, tol, max_panels, sign):
     vals, errs = vals[order], errs[order]
     results = []
     end = 0
-    for n in np.bincount(row, minlength=stop)[first:].tolist():
+    for n in np.bincount(row, minlength=stop - first).tolist():
         start, end = end, end + n
         value, err = math.fsum(vals[start:end].tolist()), math.fsum(errs[start:end].tolist())
         results.append(QuadResult(sign * value, err, n, err <= tol))

@@ -98,7 +98,7 @@ class FundamentalSeq:
                  limit_of_primitives=None, term_derivative=None,
                  label="custom", panel_hint=None, off_origin=None):
         self.term = term
-        self.primitive_order = int(primitive_order)
+        self.primitive_order = require_count(primitive_order, "primitive_order", minimum=0)
         self.primitives = tuple(primitives)
         self.limit_of_primitives = limit_of_primitives
         self.term_derivative = term_derivative
@@ -106,8 +106,6 @@ class FundamentalSeq:
         self.off_origin = off_origin or OffOriginBound(grid_sup(term), None,
                                                        "sup |term(n, x)| below tol")
         self.panel_hint = panel_hint
-        if self.primitive_order < 0:
-            raise ValueError("primitive_order must be >= 0")
 
     def __repr__(self):
         return f"FundamentalSeq({self.label}, k={self.primitive_order})"
@@ -117,9 +115,7 @@ class FundamentalSeq:
 
     def primitive(self, level, n, x):
         """Anchored primitive of the given level: primitive(0) is the term."""
-        level = int(level)
-        if level < 0:
-            raise ValueError("primitive level must be >= 0")
+        level = require_count(level, "primitive level", minimum=0)
         if level == 0:
             return self.term(n, x)
         top = len(self.primitives)
@@ -264,7 +260,7 @@ def check_fundamental(seq, interval=(-5.0, 5.0), n_max=50, tol=1e-2, *, order=No
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     iv, xs = _grid(interval)
-    k = seq.primitive_order if order is None else int(order)
+    k = seq.primitive_order if order is None else require_count(order, "order", minimum=0)
     limit = seq.limit_of_primitives if k == seq.primitive_order else None
     target = None if limit is None else np.asarray(limit(xs), dtype=float)
     rows = (np.asarray(seq.primitive(k, n, xs), dtype=float) for n in range(n_max, 0, -1))

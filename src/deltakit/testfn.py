@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import as_float_array, maybe_scalar
+from ._util import as_float_array, maybe_scalar, require_count
 from .quadrature import GAUSS_WEIGHTS, KRONROD_WEIGHTS, NODES
 
 __all__ = [
@@ -260,8 +260,8 @@ def derivative(f, x, order=1):
     Read off f.jet, exact to rounding (every TestFunction, SmoothStep and
     DifferenceQuotient has one); an f without a jet raises TypeError.
     """
-    order = int(order)
-    if not 1 <= order <= MAX_DERIVATIVE_ORDER:
+    order = require_count(order, "derivative order")
+    if order > MAX_DERIVATIVE_ORDER:
         raise ValueError(f"derivative order must be in [1, {MAX_DERIVATIVE_ORDER}], got {order}")
     if not hasattr(f, "jet"):
         raise TypeError(f"derivative reads f.jet(x, order), and {f!r} has no jet")

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from _oracles import fd_derivative
@@ -61,8 +63,8 @@ def test_finite_difference_noise_does_not_converge():
 
 # Row i integrates A[i]/x + cos(W[i] x). On [0, 1], rows 0 and 3 converge on
 # their first panel and rows 1 and 4 take several rounds; row 2's 1/x narrows
-# the panel at 0 until it cannot split, after which that row splits its worst
-# splittable panel each round and stops unconverged after the last round.
+# the panel at 0 until it cannot split, and with no other panel over its share
+# that row stops there, unconverged, before the last round.
 _A = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
 _W = np.array([1.0, 40.0, 0.0, 0.5, 90.0])
 
@@ -85,14 +87,39 @@ def test_rows_match_one_row_calls():
     assert _quad_rows(_wave, 5, 0.0, 1.0, **kw) == _one_row_calls(_wave, 5, 0.0, 1.0, **kw)
 
 
-def test_rows_fall_back_to_the_worst_panel(monkeypatch):
-    # once row 2 cannot split its panel at 0, each round splits one other panel
+def test_rows_stop_when_their_flagged_panels_are_too_narrow(monkeypatch):
+    # row 2's only panel over its share sits at 0 at rounding width: more
+    # rounds split nothing more
     base = _quad_rows(_wave, 5, 0.0, 1.0, tol=1e-10)
     monkeypatch.setattr(quadrature, "MAX_ROUNDS", quadrature.MAX_ROUNDS + 6)
     longer = _quad_rows(_wave, 5, 0.0, 1.0, tol=1e-10)
-    assert longer[2].panels_used == base[2].panels_used + 6 and not longer[2].converged
-    assert longer[:2] == base[:2] and longer[3:] == base[3:]
+    assert longer == base and not longer[2].converged
     assert longer == _one_row_calls(_wave, 5, 0.0, 1.0, tol=1e-10)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(0.0, 80.0)), min_size=1, max_size=4),
+       st.floats(0.0, 1.0), st.floats(-13.0, -6.0), st.none() | st.floats(0.05, 1.0),
+       st.floats(0.01, 0.99), st.integers(20, 400))
+def test_rows_match_one_row_calls_property(aw, c, log_tol, max_panel, cut, max_panels):
+    # rows A_i/(x - c) + cos(W_i x): poles, oscillation, and rows that hit the cap
+    amp, freq = np.array(aw).T
+
+    def f(i, x):
+        return amp[i] / (x - c) + np.cos(freq[i] * x)
+
+    kw = dict(tol=10.0 ** log_tol, max_panel=max_panel, breakpoints=(cut,),
+              max_panels=max_panels)
+    try:
+        rows = _quad_rows(f, amp.size, 0.0, 1.0, **kw)
+    except QuadratureError:  # a Kronrod node landed on the pole
+        with pytest.raises(QuadratureError):
+            _one_row_calls(f, amp.size, 0.0, 1.0, **kw)
+        return
+    assert rows == _one_row_calls(f, amp.size, 0.0, 1.0, **kw)
+    for r in rows:
+        assert r.panels_used <= max_panels
+        assert r.converged == (r.abs_error_estimate <= kw["tol"])
 
 
 @pytest.mark.parametrize("f, tol, max_panels", [
@@ -104,6 +131,20 @@ def test_max_panels_caps_the_last_round(f, tol, max_panels):
     # pass the cap; it splits only its worst panels, as many as still fit
     res = adaptive_quad(f, 0.0, 10.0, tol=tol, max_panels=max_panels)
     assert res.panels_used <= max_panels and not res.converged
+
+
+def test_nan_max_panel_is_rejected():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="max_panel"):
+            adaptive_quad(np.cos, 0.0, 1.0, max_panel=math.nan)
+        with pytest.raises(ValueError, match="max_panel"):
+            quadrature.anchored_primitive_values(np.cos, [1.0], max_panel=math.nan)
+    # None, a cap <= 0 and an infinite cap leave the interval uncut
+    for cap in (0.0, -1.0, math.inf):
+        assert adaptive_quad(np.cos, 0.0, 1.0, max_panel=cap) == adaptive_quad(np.cos, 0.0, 1.0)
+        assert (quadrature.anchored_primitive_values(np.cos, [1.0], max_panel=cap)
+                == quadrature.anchored_primitive_values(np.cos, [1.0]))
 
 
 def test_rows_reversed_and_empty_interval():

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from _oracles import fd_derivative
 from deltakit import (FundamentalSeq, QuadratureError, bump, check_equivalent,
-                      check_fundamental, check_zero_off_origin, damped_cos_seq,
+                      check_fundamental, check_zero_off_origin, damped_cos_seq, derivative,
                       lorentz_delta_seq, pair_by_parts, scaled_cos_seq,
                       seq_derivative, sinc_delta, sinc_delta_seq, sinc_step_seq,
                       zero_seq)
@@ -71,6 +71,20 @@ def test_check_fundamental_fails_at_step_level():
 def test_check_fundamental_validation():
     with pytest.raises(ValueError):
         check_fundamental(sinc_delta_seq(), (-1.0, 1.0), n_max=1)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda k: derivative(bump(-2.0, -1.0, 1.0, 2.0), 0.5, k), "derivative order"),
+    (lambda k: FundamentalSeq(term=sinc_delta, primitive_order=k).primitive_order,
+     "primitive_order"),
+    (lambda k: sinc_delta_seq().primitive(k, 5, 0.3), "primitive level"),
+    (lambda k: check_fundamental(sinc_delta_seq(), n_max=5, order=k), "order"),
+], ids=["derivative", "FundamentalSeq", "primitive", "check_fundamental"])
+def test_orders_and_levels_are_integers(call, name):
+    # 1.5 is not truncated to 1; an integral float such as 2.0 counts as 2
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        call(1.5)
+    assert call(2.0) == call(2)
 
 
 def test_equivalence_of_the_two_kernels():
