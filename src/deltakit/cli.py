@@ -27,6 +27,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -91,6 +92,7 @@ def _write_report(config, passed, header, rows, results, **fields):
     `results` and `fields`. Only the requested format is built, so `rows` and
     `results` may be generators. Figure CSV goes to fig<N>.csv unless --out
     names a path; a path that cannot be opened exits 2 with nothing written.
+    Stdout closed early by its reader ends quietly, with the verdict's code.
     """
     path = config.output_path
     if config.format == "csv":
@@ -103,7 +105,11 @@ def _write_report(config, passed, header, rows, results, **fields):
                               "verdict": "pass" if passed else "fail"}, indent=2, sort_keys=True),
                   "\n" if path in (None, "-") else ""]
     if path in (None, "-"):
-        sys.stdout.writelines(chunks)
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        except BrokenPipeError:  # fd 1 to os.devnull: the final flush must not raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     else:
         try:
             with open(path, "w", encoding="utf-8") as fh:

@@ -4,8 +4,9 @@ The engine evaluates whole batches of panels per call (integrands receive
 ndarrays), bisects the panels whose embedded 7/15-point difference is too
 large, and sums panel contributions with `math.fsum`, which rounds the exact
 sum once, so results are deterministic bit-for-bit for a given panel set.
-One bisection loop refines a batch of rows, integrals of f(i, x) over the
-same interval; adaptive_quad is its one-row call.
+One bisection loop refines every panel set, on a panel rule: Kronrod-15 for
+rows, integrals of f(i, x) over one interval (adaptive_quad is the one-row
+call), or the Chebyshev coefficients of anchored_primitive_values.
 
 anchored_primitive_values integrates from 0 to many points at once with
 piecewise Chebyshev interpolants and their exact antiderivatives (Clenshaw &
@@ -59,8 +60,7 @@ KRONROD_WEIGHTS = np.concatenate([_WK_HALF, [_WK_CENTER], _WK_HALF[::-1]])
 GAUSS_WEIGHTS = np.zeros(15)
 GAUSS_WEIGHTS[1:14:2] = np.concatenate([_WG_HALF, [_WG_CENTER], _WG_HALF[::-1]])
 
-# Bisection rounds after which adaptive_quad stops refining and
-# anchored_primitive_values raises, and the panel count at which both stop.
+# Bisection rounds and panel count at which the bisection loop stops.
 MAX_ROUNDS = 64
 MAX_PANELS = 200_000
 
@@ -189,35 +189,45 @@ def _quad_rows(f, rows, a, b, *, tol, max_panel=None, breakpoints=(), max_panels
     block = max(1, ROW_BLOCK_NODES // (NODES.size * (edges.size - 1)))
     results = []
     for first in range(0, rows, block):
-        results += _refine_rows(f, first, min(rows, first + block), edges, tol, max_panels,
-                                sign)
+        stop = min(rows, first + block)
+        row, _, _, vals, errs = _refine_rows(
+            lambda r, lo, hi: _panel_rule(lambda x: f(first + r[:, None], x), lo, hi),
+            stop - first, edges, tol, max_panels)
+        order = row.argsort(kind="stable")  # math.fsum is exact in any order
+        vals, errs = vals[order], errs[order]
+        end = 0
+        for n in np.bincount(row, minlength=stop - first).tolist():
+            start, end = end, end + n
+            value, err = math.fsum(vals[start:end].tolist()), math.fsum(errs[start:end].tolist())
+            results.append(QuadResult(sign * value, err, n, err <= tol))
     return results
 
 
-def _refine_rows(f, first, stop, edges, tol, max_panels, sign):
-    """The bisection loop of _quad_rows for rows first..stop-1.
+def _refine_rows(rule, rows, edges, tol, max_panels):
+    """The one bisection loop: the panels of rows 0..rows-1, each cut first at edges.
 
-    Panels of all rows share flat arrays (row index from 0, lo, hi, value,
-    error); each round keeps the unsplit panels, then appends the left and the
-    right halves, so every row sees its panels in the order a one-row loop has.
-    A round splits the panels over their row's share of tol that are wide
-    enough to split, in rows over tol and below max_panels; a row with no such
-    panel stops there, unconverged.
+    rule(row, lo, hi) gives each panel's value (a float, or a row of
+    coefficients) and error estimate. Panels of all rows share flat arrays;
+    each round keeps the unsplit panels, then appends the left and the right
+    halves, so every row sees its panels in the order a one-row loop has. A
+    round splits the panels over their row's share of tol that are wide
+    enough to split, in rows over tol and below max_panels; a row with no
+    such panel stops there, unconverged. Returns row, lo, hi, values, errors.
     """
-    grid = edges[None].repeat(stop - first, 0)
+    grid = edges[None].repeat(rows, 0)
     lo, hi = grid[:, :-1].ravel(), grid[:, 1:].ravel()
-    row = np.arange(stop - first).repeat(edges.size - 1)
-    vals, errs = _panel_rule(lambda x: f(first + row[:, None], x), lo, hi)
+    row = np.arange(rows).repeat(edges.size - 1)
+    vals, errs = rule(row, lo, hi)
 
     for _ in range(MAX_ROUNDS):
-        total = np.bincount(row, errs, stop - first)
+        total = np.bincount(row, errs, rows)
         if total.max() <= tol:
             break
-        count = np.bincount(row, minlength=stop - first)
+        count = np.bincount(row, minlength=rows)
         room = np.where(total <= tol, 0, max_panels - count)
         splittable = (hi - lo) > 16.0 * EPS * np.maximum(1.0, np.abs(lo) + np.abs(hi))
         mask = (errs > tol / (2.0 * count[row])) & (room[row] > 0) & splittable
-        if (np.bincount(row[mask], minlength=stop - first) > room).any():
+        if (np.bincount(row[mask], minlength=rows) > room).any():
             # a split adds one panel: a row near the cap splits only its worst
             # panels, as many as it has room for (ties in panel order)
             cand = mask.nonzero()[0][np.lexsort((-errs[mask], row[mask]))]
@@ -232,19 +242,10 @@ def _refine_rows(f, first, stop, edges, tol, max_panels, sign):
         lo = np.concatenate([lo[keep], split_lo, mid])
         hi = np.concatenate([hi[keep], mid, split_hi])
         new = slice(-2 * split_row.size, None)
-        new_vals, new_errs = _panel_rule(lambda x: f(first + row[new, None], x), lo[new], hi[new])
+        new_vals, new_errs = rule(row[new], lo[new], hi[new])
         vals = np.concatenate([vals[keep], new_vals])
         errs = np.concatenate([errs[keep], new_errs])
-
-    order = row.argsort(kind="stable")  # math.fsum is exact in any order
-    vals, errs = vals[order], errs[order]
-    results = []
-    end = 0
-    for n in np.bincount(row, minlength=stop - first).tolist():
-        start, end = end, end + n
-        value, err = math.fsum(vals[start:end].tolist()), math.fsum(errs[start:end].tolist())
-        results.append(QuadResult(sign * value, err, n, err <= tol))
-    return results
+    return row, lo, hi, vals, errs
 
 
 def anchored_primitive_values(f, xs, *, tol=1e-10, max_panel=None, levels=1):
@@ -252,15 +253,15 @@ def anchored_primitive_values(f, xs, *, tol=1e-10, max_panel=None, levels=1):
 
     Cuts [min(xs, 0), max(xs, 0)] at 0 and into panels no wider than
     max_panel, samples f at LIFT_POINTS first-kind Chebyshev points of each
-    panel, and bisects every panel whose last two coefficients,
-    |c_(n-2)| + |c_(n-1)|, exceed tol / (max(xs, 0) - min(xs, 0)): 2h times
-    that sum estimates the panel's error, so the errors of all panels add up
-    to at most about tol. Each level integrates every panel's series exactly
-    and adds the panel integrals summed from the anchor 0. Returns the last
-    level at xs: an array of xs's shape, or a float for a scalar. Raises
-    ValueError for a non-finite x, and QuadratureError when panels still
-    fail after MAX_ROUNDS rounds or would exceed MAX_PANELS (the first cut
-    before f is sampled).
+    panel, and refines the panels in the bisection loop of adaptive_quad: a
+    panel's error estimate is 2h times its last two coefficients,
+    |c_(n-2)| + |c_(n-1)|, and the estimates must sum to at most tol. Each
+    level integrates every panel's series exactly and adds the panel
+    integrals summed from the anchor 0. Returns the last level at xs: an
+    array of xs's shape, or a float for a scalar. Raises ValueError for a
+    non-finite x, and QuadratureError when the first cut would exceed
+    MAX_PANELS (before f is sampled) or, naming the worst panel, when the
+    estimates still sum past tol once the loop stops.
     """
     xs_arr, scalar = as_float_array(xs)
     if not np.isfinite(xs_arr).all():
@@ -275,20 +276,11 @@ def anchored_primitive_values(f, xs, *, tol=1e-10, max_panel=None, levels=1):
     if edges.size - 1 > MAX_PANELS:
         raise QuadratureError(f"lifting [{float(lo_end)!r}, {float(hi_end)!r}] at max_panel "
                               f"{max_panel!r} needs {edges.size - 1} panels, over {MAX_PANELS}")
-    lo, hi = edges[:-1], edges[1:]
-    coef = _lift_coefficients(f, lo, hi)
-    for rounds in range(MAX_ROUNDS + 1):
-        split = np.abs(coef[:, LIFT_POINTS - 2:LIFT_POINTS]).sum(axis=-1) > tol / (hi_end - lo_end)
-        if not split.any():
-            break
-        if rounds == MAX_ROUNDS or lo.size + split.sum() > MAX_PANELS:
-            i = split.argmax()
-            raise QuadratureError(
-                f"lifting did not converge on [{float(lo[i])!r}, {float(hi[i])!r}]")
-        mid = 0.5 * (lo[split] + hi[split])
-        new_lo, new_hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
-        lo, hi = np.concatenate([lo[~split], new_lo]), np.concatenate([hi[~split], new_hi])
-        coef = np.concatenate([coef[~split], _lift_coefficients(f, new_lo, new_hi)])
+    _, lo, hi, coef, errs = _refine_rows(lambda _, lo, hi: _lift_coefficients(f, lo, hi), 1,
+                                         edges, tol, MAX_PANELS)
+    if errs.sum() > tol:
+        i = errs.argmax()
+        raise QuadratureError(f"lifting did not converge on [{float(lo[i])!r}, {float(hi[i])!r}]")
 
     order = lo.argsort()
     lo, hi, series = lo[order], hi[order], coef[order]
@@ -311,14 +303,16 @@ def anchored_primitive_values(f, xs, *, tol=1e-10, max_panel=None, levels=1):
 
 def _lift_coefficients(f, lo, hi):
     """Chebyshev coefficients of f on each panel [lo, hi], shape (panels, n + 2),
-    from one integrand call."""
+    from one integrand call, and each panel's error estimate (hi - lo) times its
+    last two coefficients, |c_(n-2)| + |c_(n-1)|."""
     half = 0.5 * (hi - lo)
     pts = (lo + half)[:, None] + half[:, None] * _LIFT_COSINES[1]
     fx = _call_integrand(f, pts)
     if not np.isfinite(fx).all():
         raise QuadratureError(
             f"integrand returned a non-finite value near x={pts[~np.isfinite(fx)][0]!r}")
-    return _chebyshev_coefficients(fx, _LIFT_COSINES)
+    coef = _chebyshev_coefficients(fx, _LIFT_COSINES)
+    return coef, (hi - lo) * np.abs(coef[:, LIFT_POINTS - 2:LIFT_POINTS]).sum(axis=-1)
 
 
 def _chebyshev_cosines(n):

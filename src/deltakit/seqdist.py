@@ -256,9 +256,7 @@ def check_fundamental(seq, interval=(-5.0, 5.0), n_max=50, tol=1e-2, *, order=No
     n_max. The verdict fails when the sup errors do not decrease. n_max must
     be an integer >= 2.
     """
-    n_max = require_count(n_max, "n_max")
-    if n_max < 2:
-        raise ValueError("n_max must be >= 2")
+    n_max = require_count(n_max, "n_max", minimum=2)
     iv, xs = _grid(interval)
     k = seq.primitive_order if order is None else require_count(order, "order", minimum=0)
     limit = seq.limit_of_primitives if k == seq.primitive_order else None
@@ -291,9 +289,7 @@ def check_equivalent(a, b, interval=(-5.0, 5.0), n_max=50, tol=1e-2):
     further anchored integration (numerically when no closed form exists).
     n_max must be an integer >= 2.
     """
-    n_max = require_count(n_max, "n_max")
-    if n_max < 2:
-        raise ValueError("n_max must be >= 2")
+    n_max = require_count(n_max, "n_max", minimum=2)
     iv, xs = _grid(interval)
     k = max(a.primitive_order, b.primitive_order)
     ns = np.arange(1, n_max + 1)

@@ -393,6 +393,31 @@ def test_module_entry_point_exit_codes(argv, code):
     assert proc.returncode == code, proc.stderr
 
 
+@pytest.mark.parametrize("argv", [["certify", "lemma4"], ["figure", "--fig", "1", "--out", "-"]],
+                         ids=" ".join)
+def test_a_reader_that_closes_stdout_early_ends_the_report_quietly(argv):
+    # figure 1's 1.7 MB of CSV overfills the pipe, so its writer always meets
+    # the closed end; unbuffered, lemma4's JSON and its newline are two writes
+    src = str(Path(deltakit.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONUNBUFFERED="1")
+    proc = subprocess.Popen([sys.executable, "-m", "deltakit.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0 and err == b"", err.decode()
+    assert len(head) == 100
+
+
+def test_figure_csv_defaults_to_fig_n_in_the_working_directory(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["figure", "--fig", "3", "--grid", "41"]) == 0
+    assert capsys.readouterr().out == ""
+    assert (tmp_path / "fig3.csv").read_bytes() == (GOLDEN / "figure_3.csv").read_bytes()
+
+
 def _readme_commands():
     """Every `deltakit ...` line of the README's "Command line" block, as argv lists."""
     text = (Path(__file__).parents[1] / "README.md").read_text()

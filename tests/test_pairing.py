@@ -222,6 +222,11 @@ def test_extrapolate_validation():
         extrapolate_limit([(1.0, 0.0), (3.0, 0.0), (2.0, 0.0)])
     with pytest.raises(ValueError):
         extrapolate_limit([(1.0, 0.0), (2.0, 0.0), (3.0, 0.0)], mode="quadratic")
+    with pytest.raises(ValueError, match="samples must be finite"):
+        extrapolate_limit([(1.0, 0.0), (2.0, math.nan), (3.0, 0.0)])
+    for params in ((0.0, 0.1, 0.2), (-0.1, 0.1, 0.2)):
+        with pytest.raises(ValueError, match="log_corrected mode requires positive params"):
+            extrapolate_limit([(p, 1.0) for p in params], mode="log_corrected")
 
 
 def test_extrapolate_inverse_param_rejects_a_zero_param(capfd):

@@ -238,6 +238,22 @@ def test_lifting_raises_when_its_bisection_does_not_converge(monkeypatch):
         quadrature.anchored_primitive_values(lambda x: lorentz_delta(1e-3, x), xs)
 
 
+@pytest.mark.parametrize("eps, tol", [(1e-5, 1e-10), (1e-8, 1e-10), (1e-3, 1e-13)])
+def test_lifting_resolves_narrow_peaks(eps, tol):
+    # each panel's share of tol grows with its width: the panels at the peak
+    # stop splitting before their coefficients reach rounding
+    xs = np.linspace(-3.0, 4.0, 2001)
+    prim = quadrature.anchored_primitive_values(lambda x: lorentz_delta(eps, x), xs, tol=tol)
+    assert_allclose(prim, lorentz_step(1.0 / eps, xs), atol=1e-14, rtol=0)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-12])
+def test_lifting_a_jump_stays_within_tol(tol):
+    xs = np.linspace(-1.0, 2.0, 301)
+    prim = quadrature.anchored_primitive_values(lambda x: (x > 0.3).astype(float), xs, tol=tol)
+    assert_allclose(prim, np.maximum(xs - 0.3, 0.0), atol=tol, rtol=0)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_lifting_rejects_a_non_finite_point_before_evaluating(bad):
     def f(x):

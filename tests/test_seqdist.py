@@ -73,6 +73,17 @@ def test_check_fundamental_validation():
         check_fundamental(sinc_delta_seq(), (-1.0, 1.0), n_max=1)
 
 
+@pytest.mark.parametrize("n_max", [1, 0, 1.5])
+@pytest.mark.parametrize("check", [
+    lambda n_max: check_fundamental(sinc_delta_seq(), (-1.0, 1.0), n_max=n_max),
+    lambda n_max: check_equivalent(sinc_delta_seq(), lorentz_delta_seq(), (-1.0, 1.0),
+                                   n_max=n_max),
+], ids=["check_fundamental", "check_equivalent"])
+def test_grid_checks_take_an_integer_n_max_of_at_least_2(check, n_max):
+    with pytest.raises(ValueError, match=r"^n_max must be an integer >= 2, got "):
+        check(n_max)
+
+
 @pytest.mark.parametrize("call, name", [
     (lambda k: derivative(bump(-2.0, -1.0, 1.0, 2.0), 0.5, k), "derivative order"),
     (lambda k: FundamentalSeq(term=sinc_delta, primitive_order=k).primitive_order,
