@@ -11,7 +11,7 @@ from .families import (half_abs, half_step, lorentz_delta, lorentz_delta_n,
                        lorentz_kink, lorentz_step, sinc_delta, sinc_kink,
                        sinc_step)
 from .pairing import (RateFit, extrapolate_limit, pair, pair_lorentz,
-                      pair_sinc, pair_split, sine_decay_fit)
+                      pair_lorentz_ladder, pair_sinc, pair_split, sine_decay_fit)
 from .quadrature import QuadResult, QuadratureError, adaptive_quad
 from .seqdist import (FundamentalSeq, GridReport, OffOriginBound,
                       check_equivalent, check_fundamental,
@@ -29,8 +29,8 @@ __all__ = [
     "CertReport", "certificate_names", "run_certificate",
     "half_abs", "half_step", "lorentz_delta", "lorentz_delta_n",
     "lorentz_kink", "lorentz_step", "sinc_delta", "sinc_kink", "sinc_step",
-    "RateFit", "extrapolate_limit", "pair", "pair_lorentz", "pair_sinc",
-    "pair_split", "sine_decay_fit",
+    "RateFit", "extrapolate_limit", "pair", "pair_lorentz", "pair_lorentz_ladder",
+    "pair_sinc", "pair_split", "sine_decay_fit",
     "QuadResult", "QuadratureError", "adaptive_quad",
     "FundamentalSeq", "GridReport", "OffOriginBound", "check_equivalent",
     "check_fundamental", "check_zero_off_origin", "damped_cos_seq",

@@ -22,6 +22,13 @@ def maybe_scalar(out, was_scalar):
 
 
 def require_positive(value, name):
+    """A finite positive number as a float, or an ndarray of them as a float array."""
+    if getattr(value, "ndim", 0):
+        arr = value.astype(float, copy=False)
+        if arr.size and not (arr.min() > 0.0 and arr.max() < np.inf):  # a NaN fails both
+            for v in arr.flat:  # the scalar check raises at the first bad value
+                require_positive(v, name)
+        return arr
     value = float(value)
     if not np.isfinite(value) or value <= 0.0:
         raise ValueError(f"{name} must be a finite positive number, got {value!r}")

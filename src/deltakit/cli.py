@@ -34,7 +34,7 @@ import numpy as np
 
 from .certify import certificate_names, run_certificate
 from .families import (lorentz_delta_n, sinc_delta, sinc_kink, sinc_step)
-from .pairing import extrapolate_limit, pair_lorentz, pair_sinc
+from .pairing import extrapolate_limit, pair_lorentz_ladder, pair_sinc
 from .testfn import bump, mollifier, smooth_step_down, smooth_step_up
 
 __all__ = ["main", "RunConfig"]
@@ -88,11 +88,13 @@ def _write_report(config, passed, header, rows, results, **fields):
     """Print or write one command's report in its format; return the exit code.
 
     CSV is the `header` line, then each chunk of whole lines as `rows` yields
-    it, so no report is joined in memory; JSON is the envelope around
-    `results` and `fields`. Only the requested format is built, so `rows` and
-    `results` may be generators. Figure CSV goes to fig<N>.csv unless --out
-    names a path; a path that cannot be opened exits 2 with nothing written.
-    Stdout closed early by its reader ends quietly, with the verdict's code.
+    it; JSON is json.dumps of the envelope around `results` and `fields`
+    (indent 2, sorted keys), written as each chunk of result dicts that
+    `results` yields is dumped. So no report is joined in memory, and only the
+    requested format is built: `rows` and `results` may be generators. Figure
+    CSV goes to fig<N>.csv unless --out names a path; a path that cannot be
+    opened exits 2 with nothing written. Stdout closed early by its reader
+    ends quietly, with the verdict's code.
     """
     path = config.output_path
     if config.format == "csv":
@@ -100,10 +102,10 @@ def _write_report(config, passed, header, rows, results, **fields):
         if path is None and config.command == "figure":
             path = f"fig{config.fig}.csv"
     else:  # printed with a final newline, written to a file without one
-        chunks = [json.dumps({"command": config.command, "config": dataclasses.asdict(config),
-                              "results": list(results), **fields,
-                              "verdict": "pass" if passed else "fail"}, indent=2, sort_keys=True),
-                  "\n" if path in (None, "-") else ""]
+        envelope = {"command": config.command, "config": dataclasses.asdict(config),
+                    "results": [], **fields, "verdict": "pass" if passed else "fail"}
+        chunks = itertools.chain(_json_chunks(envelope, results),
+                                 ["\n" if path in (None, "-") else ""])
     if path in (None, "-"):
         try:
             sys.stdout.writelines(chunks)
@@ -121,14 +123,31 @@ def _write_report(config, passed, header, rows, results, **fields):
     return 0 if passed else 1
 
 
+def _json_chunks(envelope, results):
+    """json.dumps(envelope, indent=2, sort_keys=True) with the chunks of results as its
+    "results" list, yielded a chunk at a time."""
+    # a string holds no raw newline, so only the top-level key starts a line at indent 2
+    head, key, tail = json.dumps(envelope, indent=2, sort_keys=True).partition(
+        '\n  "results": []')
+    yield head + key[:-1]
+    sep = ""
+    for chunk in results:
+        if chunk:  # each item one level deeper: the list's "[" and "\n]" are dropped
+            yield sep + json.dumps(chunk, indent=2, sort_keys=True)[1:-2].replace("\n", "\n  ")
+            sep = ","
+    yield ("\n  ]" if sep else "]") + tail
+
+
 def cmd_pair(config):
     f = bump(*config.bump_knots)
     if config.shift:
         f = f.shifted(config.shift)
     f0 = float(f(0.0))
-    pair_fn, mode = ((pair_sinc, "inverse_param") if config.family == "fourier"
-                     else (pair_lorentz, "log_corrected"))
-    runs = [(p, pair_fn(p, f)) for p in config.params]
+    if config.family == "fourier":
+        mode, results = "inverse_param", [pair_sinc(p, f) for p in config.params]
+    else:  # the whole ladder is one quadrature
+        mode, results = "log_corrected", pair_lorentz_ladder(config.params, f)
+    runs = list(zip(config.params, results))
     limit = extrapolate_limit([(p, res.value) for p, res in runs], mode=mode)
     limit_error = abs(limit - f0)
     passed = limit_error <= config.tolerance and all(res.converged for _, res in runs)
@@ -136,8 +155,8 @@ def cmd_pair(config):
         config, passed, "param,value,abs_error_estimate",
         ["%.17g,%.17g,%.17g\n" % (p, res.value, res.abs_error_estimate) for p, res in runs]
         + ["limit,%.17g,%.17g\n" % (limit, limit_error)],
-        [{"param": p, "value": res.value, "abs_error_estimate": res.abs_error_estimate}
-         for p, res in runs],
+        [[{"param": p, "value": res.value, "abs_error_estimate": res.abs_error_estimate}
+          for p, res in runs]],
         extrapolated_limit=limit, target_value_at_zero=f0, abs_limit_error=limit_error)
 
 
@@ -149,7 +168,7 @@ def cmd_certify(config, certify_parser):
     return _write_report(
         config, report.passed, "certificate,verdict,summary",
         [f"{report.name},{'pass' if report.passed else 'fail'},\"{report.summary}\"\n"],
-        [{"certificate": report.name, "summary": report.summary, "details": report.details}])
+        [[{"certificate": report.name, "summary": report.summary, "details": report.details}]])
 
 
 def _figure_series(config):
@@ -184,8 +203,8 @@ def cmd_figure(config):
         config, True, "x,value,series",
         ("".join([x + "%.17g" % v + tail for x, v in zip(columns[id(points)], values.tolist())])
          for label, points, values in series for tail in [f",{label}\n"]),
-        ({"x": x, "value": v, "series": label}
-         for label, points, values in series for x, v in zip(points.tolist(), values.tolist())))
+        ([{"x": x, "value": v, "series": label} for x, v in zip(points.tolist(), values.tolist())]
+         for label, points, values in series))
 
 
 @functools.cache

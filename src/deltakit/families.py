@@ -73,10 +73,14 @@ def sinc_kink(r, x):
 
 
 def lorentz_delta(eps, x):
-    """Lorentz delta kernel (eps/pi)/(x^2 + eps^2); peak 1/(pi eps) at 0."""
+    """Lorentz delta kernel (eps/pi)/(x^2 + eps^2); peak 1/(pi eps) at 0.
+
+    eps may be an array of widths, broadcast against x; each value is the
+    one the scalar call gives, bit for bit.
+    """
     eps = require_positive(eps, "eps")
     arr, scalar = as_float_array(x)
-    return maybe_scalar((eps / _PI) / (arr * arr + eps * eps), scalar)
+    return maybe_scalar((eps / _PI) / (arr * arr + eps * eps), scalar and isinstance(eps, float))
 
 
 def lorentz_delta_n(n, x):

@@ -3,7 +3,10 @@
 pair() integrates phi * f over the (compact) support of f only. The
 oscillatory kernels cap panel widths at half the oscillation period pi/r, so
 the Kronrod rule always resolves the integrand; the Lorentz kernel instead
-seeds panel edges at dyadic multiples of eps around the peak.
+seeds panel edges at dyadic multiples of eps around the peak. A ladder of
+Lorentz widths is paired as the rows of one quadrature, each width with its
+own first cut, so f is evaluated once a round for the whole ladder;
+pair_lorentz is its one-width call.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 
 from ._util import require_positive
 from .families import lorentz_delta, sinc_delta
-from .quadrature import QuadratureError, adaptive_quad, half_period_cap
+from .quadrature import QuadratureError, _quad_rows, adaptive_quad, half_period_cap
 from .special import si
 from .testfn import Interval, derivative, difference_quotient
 
@@ -25,6 +28,7 @@ __all__ = [
     "pair_sinc",
     "pair_split",
     "pair_lorentz",
+    "pair_lorentz_ladder",
     "sine_decay_fit",
     "extrapolate_limit",
 ]
@@ -81,16 +85,30 @@ def pair_split(r, f):
 
 
 def pair_lorentz(eps, f, *, tol=1e-10):
-    """Pair the Lorentz kernel against a TestFunction f, with panel edges refined near 0."""
-    eps = require_positive(eps, "eps")
+    """Pair the Lorentz kernel against a TestFunction f: pair_lorentz_ladder at one width."""
+    return pair_lorentz_ladder([eps], f, tol=tol)[0]
+
+
+def pair_lorentz_ladder(eps_list, f, *, tol=1e-10):
+    """Pair the Lorentz kernel at each width of eps_list against a TestFunction f.
+
+    Returns one QuadResult per width. The widths are the rows of one
+    quadrature over f's support, so f is evaluated once a round for all of
+    them. Each row is cut first at 0 and at the dyadic edges +-eps 2^k inside
+    the support, into panels at most 0.5 wide, and is refined as its own
+    adaptive_quad call would refine it.
+    """
+    eps = require_positive(np.asarray(eps_list, dtype=float), "eps")
     reach = max(abs(f.support.lo), abs(f.support.hi))
-    edges = [0.0]
-    scale = eps
-    while scale < reach:
-        edges.extend((scale, -scale))
-        scale *= 2.0
-    return pair(lambda x: lorentz_delta(eps, x), f, tol=tol,
-                max_panel=0.5, breakpoints=edges)
+    cuts = []
+    for scale in eps.tolist():
+        edges = [0.0]
+        while scale < reach:
+            edges.extend((scale, -scale))
+            scale *= 2.0
+        cuts.append(edges)
+    return _quad_rows(lambda i, x: lorentz_delta(eps[i], x) * f(x), eps.size,
+                      f.support.lo, f.support.hi, tol=tol, max_panel=0.5, row_breakpoints=cuts)
 
 
 def sine_decay_fit(g, interval, r_list):

@@ -5,8 +5,9 @@ ndarrays), bisects the panels whose embedded 7/15-point difference is too
 large, and sums panel contributions with `math.fsum`, which rounds the exact
 sum once, so results are deterministic bit-for-bit for a given panel set.
 One bisection loop refines every panel set, on a panel rule: Kronrod-15 for
-rows, integrals of f(i, x) over one interval (adaptive_quad is the one-row
-call), or the Chebyshev coefficients of anchored_primitive_values.
+rows, integrals of f(i, x) over one interval, each row from its own first cut
+(adaptive_quad is the one-row call), or the Chebyshev coefficients of
+anchored_primitive_values.
 
 anchored_primitive_values integrates from 0 to many points at once with
 piecewise Chebyshev interpolants and their exact antiderivatives (Clenshaw &
@@ -160,39 +161,51 @@ def adaptive_quad(f, a, b, *, tol=1e-10, max_panel=None, breakpoints=(),
                       breakpoints=breakpoints, max_panels=max_panels)[0]
 
 
-def _quad_rows(f, rows, a, b, *, tol, max_panel=None, breakpoints=(), max_panels=MAX_PANELS):
+def _quad_rows(f, rows, a, b, *, tol, max_panel=None, breakpoints=(), max_panels=MAX_PANELS,
+               row_breakpoints=None):
     """Integrate f(i, x) over [a, b] for each row i < rows: one QuadResult per row.
 
     f receives a column of row indices broadcast against the Kronrod nodes.
     Every row is refined exactly as adaptive_quad(lambda x: f(i, x), a, b, ...)
-    refines it, so its result is the same bit for bit. Rows are refined in
-    blocks whose initial panels hold at most ROW_BLOCK_NODES nodes.
+    refines it, with breakpoints plus row_breakpoints[i] (when given, one
+    sequence per row) as its breakpoints, so its result is the same bit for
+    bit. A first cut that every row shares is built once. Rows are refined in
+    blocks whose first cuts hold at most ROW_BLOCK_NODES nodes in all (a block
+    holds at least one row).
     """
     a = float(a)
     b = float(b)
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("integration endpoints must be finite")
-    if a == b:
+    if a == b or not rows:
         return [QuadResult(0.0, 0.0, 1, True)] * rows
     sign = 1.0
     if b < a:
         a, b = b, a
         sign = -1.0
 
-    cuts = np.array(sorted({a, b}.union(p for p in map(float, breakpoints) if a < p < b)))
-    edges = _initial_edges(cuts, max_panel)
-    if edges.size - 1 > max_panels:
-        # widen the cap: sum(ceil(w / cap)) over the segments is below sum(w) / cap plus
-        # their count, so the first cut fits; 4 EPS covers the rounding of each w / cap
-        spare = max_panels - (cuts.size - 2)
-        edges = _initial_edges(cuts, (b - a) / spare * (1.0 + 4.0 * EPS) if spare > 0 else None)
-    block = max(1, ROW_BLOCK_NODES // (NODES.size * (edges.size - 1)))
+    # the first cuts' panels, row by row, and each row's panel count
+    if row_breakpoints is None:  # one cut for every row, built once
+        cut = _first_cut(a, b, breakpoints, max_panel, max_panels)
+        grid = cut[None].repeat(rows, 0)
+        lo, hi = grid[:, :-1].ravel(), grid[:, 1:].ravel()
+        panels = np.full(rows, cut.size - 1)
+    else:
+        cuts = [_first_cut(a, b, [*breakpoints, *p], max_panel, max_panels)
+                for p in row_breakpoints]
+        lo, hi = np.concatenate([c[:-1] for c in cuts]), np.concatenate([c[1:] for c in cuts])
+        panels = np.array([c.size - 1 for c in cuts])
+    ends = panels.cumsum()
     results = []
-    for first in range(0, rows, block):
-        stop = min(rows, first + block)
+    first = p0 = 0  # the block's first row and first panel
+    while first < rows:
+        # the block ends before the row that would take it past ROW_BLOCK_NODES
+        stop = max(first + 1, int(ends.searchsorted(p0 + ROW_BLOCK_NODES // NODES.size,
+                                                    side="right")))
+        p1 = int(ends[stop - 1])
         row, _, _, vals, errs = _refine_rows(
             lambda r, lo, hi: _panel_rule(lambda x: f(first + r[:, None], x), lo, hi),
-            stop - first, edges, tol, max_panels)
+            panels[first:stop], lo[p0:p1], hi[p0:p1], tol, max_panels)
         order = row.argsort(kind="stable")  # math.fsum is exact in any order
         vals, errs = vals[order], errs[order]
         end = 0
@@ -200,11 +213,27 @@ def _quad_rows(f, rows, a, b, *, tol, max_panel=None, breakpoints=(), max_panels
             start, end = end, end + n
             value, err = math.fsum(vals[start:end].tolist()), math.fsum(errs[start:end].tolist())
             results.append(QuadResult(sign * value, err, n, err <= tol))
+        first, p0 = stop, p1
     return results
 
 
-def _refine_rows(rule, rows, edges, tol, max_panels):
-    """The one bisection loop: the panels of rows 0..rows-1, each cut first at edges.
+def _first_cut(a, b, breakpoints, max_panel, max_panels):
+    """The first panel edges of [a, b], a < b: cut at the breakpoints inside it and
+    into panels no wider than max_panel, a cap widened where that cut would exceed
+    max_panels."""
+    cuts = np.array(sorted({a, b}.union(p for p in map(float, breakpoints) if a < p < b)))
+    edges = _initial_edges(cuts, max_panel)
+    if edges.size - 1 > max_panels:
+        # widen the cap: sum(ceil(w / cap)) over the segments is below sum(w) / cap plus
+        # their count, so the first cut fits; 4 EPS covers the rounding of each w / cap
+        spare = max_panels - (cuts.size - 2)
+        edges = _initial_edges(cuts, (b - a) / spare * (1.0 + 4.0 * EPS) if spare > 0 else None)
+    return edges
+
+
+def _refine_rows(rule, panels, lo, hi, tol, max_panels):
+    """The one bisection loop: the panels of rows 0..panels.size-1, where row i is cut
+    first into panels[i] panels, the next ones of [lo, hi].
 
     rule(row, lo, hi) gives each panel's value (a float, or a row of
     coefficients) and error estimate. Panels of all rows share flat arrays;
@@ -214,9 +243,8 @@ def _refine_rows(rule, rows, edges, tol, max_panels):
     enough to split, in rows over tol and below max_panels; a row with no
     such panel stops there, unconverged. Returns row, lo, hi, values, errors.
     """
-    grid = edges[None].repeat(rows, 0)
-    lo, hi = grid[:, :-1].ravel(), grid[:, 1:].ravel()
-    row = np.arange(rows).repeat(edges.size - 1)
+    rows = panels.size
+    row = np.arange(rows).repeat(panels)
     vals, errs = rule(row, lo, hi)
 
     for _ in range(MAX_ROUNDS):
@@ -276,8 +304,9 @@ def anchored_primitive_values(f, xs, *, tol=1e-10, max_panel=None, levels=1):
     if edges.size - 1 > MAX_PANELS:
         raise QuadratureError(f"lifting [{float(lo_end)!r}, {float(hi_end)!r}] at max_panel "
                               f"{max_panel!r} needs {edges.size - 1} panels, over {MAX_PANELS}")
-    _, lo, hi, coef, errs = _refine_rows(lambda _, lo, hi: _lift_coefficients(f, lo, hi), 1,
-                                         edges, tol, MAX_PANELS)
+    _, lo, hi, coef, errs = _refine_rows(lambda _, lo, hi: _lift_coefficients(f, lo, hi),
+                                         np.array([edges.size - 1]), edges[:-1], edges[1:],
+                                         tol, MAX_PANELS)
     if errs.sum() > tol:
         i = errs.argmax()
         raise QuadratureError(f"lifting did not converge on [{float(lo[i])!r}, {float(hi[i])!r}]")

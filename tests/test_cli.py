@@ -16,6 +16,7 @@ import pytest
 import deltakit
 import deltakit.certify
 import deltakit.cli
+import deltakit.pairing
 from deltakit.certify import certificate_names, run_certificate
 from deltakit.cli import RunConfig, _figure_series, main
 
@@ -286,6 +287,50 @@ def test_figure_csv_is_written_without_joining_the_report(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000, peak
+
+
+@pytest.mark.parametrize("argv", [
+    ["figure", "--fig", "1", "--format", "json"],
+    ["certify", "fubini"],
+    ["pair", "--family", "lorentz", "--params", "1e-1,1e-2,1e-3"],
+], ids=["figure_1", "certify_fubini", "pair_lorentz"])
+def test_json_report_is_the_envelope_dumped_whole(argv, tmp_path, capsys):
+    # streamed a chunk of results at a time, the report is still the one json.dumps
+    code, out = run_cli(capsys, *argv)
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    path = tmp_path / "report.json"
+    assert main([*argv, "--out", str(path)]) == code
+    written = path.read_text()
+    assert written == json.dumps(json.loads(written), indent=2, sort_keys=True)
+
+
+def test_figure_json_is_written_without_joining_the_report(tmp_path):
+    # figure 1 as JSON is 40 020 row dicts (3.9 MB): dumped a series at a time,
+    # the traced peak stays far below the rows and the joined report
+    argv = ["figure", "--fig", "1", "--format", "json", "--out", str(tmp_path / "fig1.json")]
+    main(argv)  # builds the parser and the si table outside the measurement
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000, peak
+
+
+def test_lorentz_ladder_is_one_quadrature(monkeypatch, capsys):
+    # the four widths are the rows of one _quad_rows call, not four calls
+    calls = []
+    real = deltakit.pairing._quad_rows
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(deltakit.pairing, "_quad_rows", counted)
+    code, out = run_cli(capsys, *GOLDEN_ARGV["pair_lorentz"])
+    assert code == 0 and calls == [4]
+    assert out == (GOLDEN / "pair_lorentz.json").read_text()
 
 
 def test_figure_bad_id_exit_2(capsys):

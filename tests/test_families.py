@@ -83,6 +83,21 @@ def test_lorentz_values():
     assert abs(lorentz_step(1e6, -2.0) + 0.5) <= 1e-6
 
 
+def test_lorentz_delta_broadcasts_an_array_of_widths():
+    # a column of widths against a grid: each value is the scalar call's, bit for bit
+    eps = np.array([2.0, 0.37, 1e-3, 1e-5, 3.2e-7])
+    xs = np.linspace(-3.0, 3.0, 41)
+    table = lorentz_delta(eps[:, None], xs)
+    assert table.shape == (eps.size, xs.size)
+    assert all(table[i, j] == lorentz_delta(float(e), float(x))
+               for i, e in enumerate(eps) for j, x in enumerate(xs))
+    assert np.array_equal(lorentz_delta(eps, 0.25), [lorentz_delta(e, 0.25) for e in eps])
+    assert isinstance(lorentz_delta(0.5, 0.25), float)
+    for bad in (0.0, -1e-3, math.nan):
+        with pytest.raises(ValueError, match="eps must be a finite positive number"):
+            lorentz_delta(np.array([0.1, bad, 0.2]), xs)
+
+
 def test_lorentz_delta_normalization():
     # antiderivative is arctan: integral over [-L, L] is (2/pi) arctan(L/eps)
     eps = 0.1

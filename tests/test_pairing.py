@@ -11,8 +11,8 @@ from numpy.testing import assert_allclose
 
 from deltakit import (QuadResult, QuadratureError, TestFunction, adaptive_quad,
                       bump, difference_quotient, extrapolate_limit, lorentz_delta,
-                      pair, pair_lorentz, pair_sinc, pair_split, sinc_delta,
-                      sinc_step, sine_decay_fit)
+                      pair, pair_lorentz, pair_lorentz_ladder, pair_sinc, pair_split,
+                      sinc_delta, sinc_step, sine_decay_fit)
 from deltakit import pairing
 from deltakit.pairing import PAIR_TOL
 from deltakit.quadrature import half_period_cap
@@ -69,6 +69,42 @@ def test_pairings_return_their_quadratures_result():
     for got, want in cases:
         assert isinstance(got, QuadResult)
         assert got == want and got.converged
+
+
+def _one_width_quad(eps, f, tol=1e-10):
+    """A Lorentz pairing as its own adaptive_quad: cut at 0 and at +-eps 2^k in the support."""
+    reach = max(abs(f.support.lo), abs(f.support.hi))
+    edges = [0.0]
+    scale = eps
+    while scale < reach:
+        edges.extend((scale, -scale))
+        scale *= 2.0
+    return adaptive_quad(lambda x: lorentz_delta(eps, x) * f(x), f.support.lo, f.support.hi,
+                         tol=tol, max_panel=0.5, breakpoints=edges)
+
+
+@pytest.mark.parametrize("shift", [0.0, 1.5, 3.0], ids=["plateau", "transition", "off"])
+@pytest.mark.parametrize("eps_list", [
+    [0.2, 0.03, 4e-3],
+    # 7.5 is wider than every shifted support's reach: no dyadic edges
+    [7.5, 3.0, 0.5, 0.11, 0.021, 4e-3, 8.7e-4, 1.3e-4, 2.2e-5, 1e-5],
+], ids=["3", "10"])
+def test_lorentz_ladder_equals_one_width_pairings(eps_list, shift):
+    f = bump(-2.1, -1.2, 1.1, 1.9).shifted(shift)
+    ladder = pair_lorentz_ladder(eps_list, f)
+    assert len(ladder) == len(eps_list)
+    assert ladder == [pair_lorentz(eps, f) for eps in eps_list]
+    assert ladder == [_one_width_quad(eps, f) for eps in eps_list]
+    # a tighter tol takes more rounds, still row for row
+    tight = pair_lorentz_ladder(eps_list, f, tol=1e-15)
+    assert tight == [_one_width_quad(eps, f, tol=1e-15) for eps in eps_list]
+
+
+def test_lorentz_ladder_rejects_a_bad_width():
+    for bad in (0.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(ValueError, match="eps must be a finite positive number"):
+            pair_lorentz_ladder([0.1, bad, 1e-3], make_bump())
+    assert pair_lorentz_ladder([], make_bump()) == []
 
 
 def test_pair_sinc_away_from_origin():

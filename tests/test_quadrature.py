@@ -122,6 +122,65 @@ def test_rows_match_one_row_calls_property(aw, c, log_tol, max_panel, cut, max_p
         assert r.converged == (r.abs_error_estimate <= kw["tol"])
 
 
+def _one_row_calls_cut_per_row(f, cuts, a, b, **kw):
+    return [adaptive_quad(lambda x: f(i, x), a, b, breakpoints=p, **kw)
+            for i, p in enumerate(cuts)]
+
+
+def test_rows_with_their_own_breakpoints_match_one_row_calls():
+    # first cuts of 100 to 300 panels, so the blocks of ROW_BLOCK_NODES nodes close
+    # at rows of different sizes; row 5's 250 cuts near 0 and its 0.1 panels
+    # elsewhere would pass max_panels, so its max_panel is widened as adaptive_quad
+    # widens it
+    def f(i, x):
+        return np.cos((1.0 + 3.0 * i) * x) * np.exp(-0.1 * i * x) + 0.01 / (x + 0.1 * i + 0.01)
+
+    cuts = [(), (5.0,), list(np.linspace(0.0, 10.0, 150)), (0.001, 0.002, 0.004),
+            list(np.linspace(0.0, 10.0, 120)), list(np.linspace(0.001, 0.5, 250)), (), (7.0,)]
+    cuts = cuts * 3
+    kw = dict(tol=1e-11, max_panel=0.1, max_panels=300)
+
+    def first_cut(p, max_panels):  # at tol = inf the first cut is the last
+        return adaptive_quad(np.cos, 0.0, 10.0, breakpoints=p, tol=math.inf, max_panel=0.1,
+                             max_panels=max_panels).panels_used
+
+    nodes = [NODES.size * first_cut(p, 300) for p in cuts]
+    assert max(nodes) < ROW_BLOCK_NODES < sum(nodes) and len(set(nodes)) == 5
+    assert first_cut(cuts[5], 300) <= 300 < first_cut(cuts[5], quadrature.MAX_PANELS)
+    rows = _quad_rows(f, len(cuts), 0.0, 10.0, row_breakpoints=cuts, **kw)
+    assert rows == _one_row_calls_cut_per_row(f, cuts, 0.0, 10.0, **kw)
+    # shared breakpoints add to each row's own, and a reversed interval flips every row
+    shared = _quad_rows(f, len(cuts), 10.0, 0.0, breakpoints=(2.5,), row_breakpoints=cuts, **kw)
+    assert shared == _one_row_calls_cut_per_row(f, [[2.5, *p] for p in cuts], 10.0, 0.0, **kw)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(0.0, 80.0),
+                          st.lists(st.floats(0.01, 0.99), max_size=30)), min_size=1, max_size=4),
+       st.floats(0.0, 1.0), st.floats(-13.0, -6.0), st.none() | st.floats(0.05, 1.0),
+       st.integers(20, 400))
+def test_rows_with_their_own_breakpoints_match_one_row_calls_property(awc, c, log_tol,
+                                                                      max_panel, max_panels):
+    # rows A_i/(x - c) + cos(W_i x), each cut first at its own breakpoints
+    amp, freq = np.array([(a, w) for a, w, _ in awc]).T
+    cuts = [p for _, _, p in awc]
+
+    def f(i, x):
+        return amp[i] / (x - c) + np.cos(freq[i] * x)
+
+    kw = dict(tol=10.0 ** log_tol, max_panel=max_panel, max_panels=max_panels)
+    try:
+        rows = _quad_rows(f, amp.size, 0.0, 1.0, row_breakpoints=cuts, **kw)
+    except QuadratureError:  # a Kronrod node landed on the pole
+        with pytest.raises(QuadratureError):
+            _one_row_calls_cut_per_row(f, cuts, 0.0, 1.0, **kw)
+        return
+    assert rows == _one_row_calls_cut_per_row(f, cuts, 0.0, 1.0, **kw)
+    for r in rows:
+        assert r.panels_used <= max_panels
+        assert r.converged == (r.abs_error_estimate <= kw["tol"])
+
+
 @pytest.mark.parametrize("f, tol, max_panels", [
     (lambda x: np.sin(50.0 * x), 1e-14, 100),
     (lambda x: np.sin(300.0 * x) * np.exp(x), 1e-13, 150),
