@@ -6,8 +6,8 @@ large, and sums panel contributions with `math.fsum`, which rounds the exact
 sum once, so results are deterministic bit-for-bit for a given panel set.
 One bisection loop refines every panel set, on a panel rule: Kronrod-15 for
 rows, integrals of f(i, x) over one interval, each row from its own first cut
-(adaptive_quad is the one-row call), or the Chebyshev coefficients of
-anchored_primitive_values.
+(adaptive_quad is the one-row call), the Chebyshev coefficients of
+anchored_primitive_values, or the jets of testfn.DifferenceQuotient.
 
 anchored_primitive_values integrates from 0 to many points at once with
 piecewise Chebyshev interpolants and their exact antiderivatives (Clenshaw &
@@ -235,13 +235,13 @@ def _refine_rows(rule, panels, lo, hi, tol, max_panels):
     """The one bisection loop: the panels of rows 0..panels.size-1, where row i is cut
     first into panels[i] panels, the next ones of [lo, hi].
 
-    rule(row, lo, hi) gives each panel's value (a float, or a row of
-    coefficients) and error estimate. Panels of all rows share flat arrays;
-    each round keeps the unsplit panels, then appends the left and the right
-    halves, so every row sees its panels in the order a one-row loop has. A
-    round splits the panels over their row's share of tol that are wide
-    enough to split, in rows over tol and below max_panels; a row with no
-    such panel stops there, unconverged. Returns row, lo, hi, values, errors.
+    rule(row, lo, hi) gives each panel's value (a float, or a row of Chebyshev
+    coefficients or jet values) and error estimate. Panels of all rows share
+    flat arrays; each round keeps the unsplit panels, then appends the left and
+    the right halves, so every row sees its panels in the order a one-row loop
+    has. A round splits the panels over their row's share of tol that are wide
+    enough to split, in rows over tol and below max_panels; a row with no such
+    panel stops there, unconverged. Returns row, lo, hi, values, errors.
     """
     rows = panels.size
     row = np.arange(rows).repeat(panels)

@@ -177,7 +177,6 @@ def sinc_step_seq():
 
 def lorentz_delta_seq():
     """The Lorentz delta sequence (eps = 1/n view) with its closed tower."""
-    peak = lambda ns, a: (1.0 / ns / math.pi) / (a * a + (1.0 / ns) ** 2)  # lorentz_delta_n(ns, a)
     return FundamentalSeq(
         term=lorentz_delta_n, primitive_order=2,
         primitives=(lorentz_step, lorentz_kink),
@@ -185,7 +184,7 @@ def lorentz_delta_seq():
         term_derivative=lorentz_delta_prime,
         label="lorentz",
         # the kernel decreases away from 0, so its sup on |x| >= a is its peak at a
-        off_origin=OffOriginBound(lambda ns, lo, hi: peak(ns, lo), peak,
+        off_origin=OffOriginBound(lambda ns, lo, hi: lorentz_delta_n(ns, lo), lorentz_delta_n,
                                   "peak value of the kernel at |x| = a"))
 
 

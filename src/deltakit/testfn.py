@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import as_float_array, maybe_scalar, require_count
-from .quadrature import GAUSS_WEIGHTS, KRONROD_WEIGHTS, NODES
+from .quadrature import GAUSS_WEIGHTS, KRONROD_WEIGHTS, NODES, _refine_rows
 
 __all__ = [
     "Interval",
@@ -44,9 +44,7 @@ MOLLIFIER_KNEE = 1.0 / 745.0
 # Highest derivative order: the truncation order of the jets.
 MAX_DERIVATIVE_ORDER = 4
 
-# DifferenceQuotient's integral form: the 15-point Kronrod nodes mapped to [0, 1],
-# and the most equal panels it splits [0, 1] into.
-_UNIT_NODES = 0.5 * (NODES + 1.0)
+# The most panels DifferenceQuotient's integral form splits [0, 1] into at one point.
 MAX_QUOTIENT_PANELS = 1024
 
 
@@ -274,8 +272,8 @@ class DifferenceQuotient:
 
     At |x| >= switch (0.0025 of the support width) the jet is the Taylor division
     of x g = f - f(0): g_0 = (f_0 - f(0))/x, g_k = (f_k - g_(k-1))/x. Below it, where
-    that would cancel, it is the exact g_k(x) = (k+1) int_0^1 t^k f_(k+1)(t x) dt;
-    f's Taylor series at 0 may not reach x.
+    that would cancel (and f's Taylor series at 0 may not reach x), it is the exact
+    g_k(x) = (k+1) int_0^1 t^k f_(k+1)(t x) dt, each point a row of the bisection loop.
     """
 
     def __init__(self, f):
@@ -299,29 +297,36 @@ class DifferenceQuotient:
         return out
 
     def _integral_jet(self, x, order):
-        """The integral form at the points x: the 15-point Kronrod rule on n equal panels of
-        [0, 1], n doubling at each x (a narrow transition of f may lie inside [0, x]) until
-        the embedded 7-point Gauss rule agrees on g_0 to 1e-12 of int |f'(t x)| dt, or of
-        sup |f| / width (65 samples) where f' is negligible. A shifted f's jet carries
-        relative rounding near 1e-12 there, so no tighter check can pass."""
-        out, todo, n = np.empty((order + 1, x.size)), np.arange(x.size), 1
-        k = np.arange(order + 1)[:, None, None]
-        while todo.size:
-            if n > MAX_QUOTIENT_PANELS:
-                raise ArithmeticError(f"the difference quotient of {self._f!r} at x = "
-                                      f"{x[todo[0]]!r} needs more than {MAX_QUOTIENT_PANELS} panels")
-            t = ((np.arange(n)[:, None] + _UNIT_NODES) / n).ravel()
-            fs = self._f.jet(np.multiply.outer(x[todo], t), order + 1)
-            terms = (k + 1) * np.array(fs[1:]) * t ** k / (2 * n)
-            kron = (terms * np.tile(KRONROD_WEIGHTS, n)).sum(-1)
-            err = np.abs(kron[0] - (terms[0] * np.tile(GAUSS_WEIGHTS, n)).sum(-1))
-            done = err <= 1e-12 * (np.abs(terms[0]) * np.tile(KRONROD_WEIGHTS, n)).sum(-1)
-            if not done.all():
-                s = self._f.support
-                done |= err <= 1e-12 * np.abs(self._f(np.linspace(s.lo, s.hi, 65))).max() / s.width
-            out[:, todo[done]] = kron[:, done]
-            todo, n = todo[~done], 2 * n
-        return out
+        """The integral form at the points x, each a row of _refine_rows cut first into [0, 1]
+        (a narrow transition of f may lie inside [0, x]). A row is done when its |K15 - G7| on
+        g_0 sum to 1e-12 of its first cut's int |f'(t x)| dt, raised to sup |f| / width (65
+        samples, once) if some first cut misses that: a shifted f's jet carries relative
+        rounding near 1e-12 there. A reference of 0 means f', and every estimate, is 0."""
+        if not x.size:  # no jet to evaluate
+            return np.empty((order + 1, 0))
+        f, s, k, ref = self._f, self._f.support, np.arange(order + 1)[:, None, None], None
+
+        def rule(row, lo, hi):  # every order's Kronrod value from one jet, the estimate on g_0
+            nonlocal ref
+            hw = 0.5 * (hi - lo)
+            t = (0.5 * (lo + hi))[:, None] + hw[:, None] * NODES
+            terms = (k + 1) * np.array(f.jet(x[row, None] * t, order + 1)[1:]) * t ** k
+            kron = hw * (terms * KRONROD_WEIGHTS).sum(-1)  # row-wise, like _panel_rule
+            err = np.abs(kron[0] - hw * (terms[0] * GAUSS_WEIGHTS).sum(-1))
+            if ref is None:  # the first cut: panel i is row i's
+                ref = hw * (np.abs(terms[0]) * KRONROD_WEIGHTS).sum(-1)
+                if (err > 1e-12 * ref).any():
+                    ref = np.maximum(ref, np.abs(f(np.linspace(s.lo, s.hi, 65))).max() / s.width)
+            return kron.T, np.divide(err, ref[row], out=np.zeros_like(err), where=err > 0)
+
+        row, _, _, vals, errs = _refine_rows(rule, np.ones(x.size, int), np.zeros(x.size),
+                                             np.ones(x.size), 1e-12, MAX_QUOTIENT_PANELS)
+        if not (total := np.bincount(row, errs, x.size)).max() <= 1e-12:  # NaN fails too
+            raise ArithmeticError(f"the difference quotient of {f!r} at x = {x[total.argmax()]!r} "
+                                  f"needs more than {MAX_QUOTIENT_PANELS} panels")
+        g = np.full((x.size, order + 1), -0.0)  # -0.0 + v is v, bit for bit
+        np.add.at(g, row, vals)  # a row's panels in the order a one-row loop has them
+        return g.T
 
 
 difference_quotient = DifferenceQuotient

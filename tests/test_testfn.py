@@ -252,6 +252,88 @@ def test_derivative_of_a_difference_quotient_reads_its_jet():
     assert_allclose(derivative(g, xs, 1), fd_derivative(g, xs, 1), rtol=0, atol=1e-8)
 
 
+def _probe_points(f):
+    """0 and 30 points each side of it from 1e-9 to a tenth of the support width, the
+    points at which test_testfn_mpmath checks difference quotients."""
+    pos = np.geomspace(1e-9, 0.1 * f.support.width, 30)
+    return np.concatenate([[0.0], pos, -pos])
+
+
+def test_difference_quotient_points_are_independent():
+    # each point is its own row of the bisection loop: alone it gives its entry of
+    # the array bit for bit, whatever the other points need (a matmul in the panel
+    # rule would not); on a plateau, in a 0.02-wide transition, next to a knot
+    for f in (bump(-2.0, -1.0, 1.0, 2.0), bump(-0.01, 0.01, 1.0, 1.02), bump(0.0, 1.0, 2.0, 3.0)):
+        g = difference_quotient(f)
+        xs = np.concatenate([_probe_points(f), [0.999 * g.switch, -0.999 * g.switch]])
+        for order in range(3):
+            jet = g.jet(xs, order)
+            for i, x in enumerate(xs):
+                alone = g.jet(np.array([x]), order)
+                for k in range(order + 1):
+                    assert alone[k][0].tobytes() == jet[k][i].tobytes(), (f, x, order, k)
+
+
+def test_difference_quotient_of_zero_is_exactly_zero():
+    g = difference_quotient(bump(-2.0, -1.0, 1.0, 2.0).scaled(0.0))
+    xs = np.array([0.0, 1e-9, -1e-4, 0.5 * g.switch, -0.999 * g.switch])
+    for order in range(3):
+        assert all(np.all(c == 0.0) for c in g.jet(xs, order))  # RuntimeWarnings are errors
+
+
+@pytest.mark.parametrize("f", [bump(0.0, 1.0, 2.0, 3.0), bump(-3.0, -2.0, -0.001, 1.0),
+                               bump(-2.0, -1.0, 1.0, 2.0).shifted(1.002),
+                               bump(-1.0, -0.9, 0.9, 1.0).shifted(0.999)])
+def test_difference_quotient_near_a_knot_converges(f):
+    # f' is negligible over [0, x] at some points, and the estimates there are
+    # measured against sup |f| / width: without that floor the first and third raise
+    g = difference_quotient(f)
+    xs = _probe_points(f)
+    for order in range(3):
+        g.jet(xs, order)
+    if f(0.0) == 0.0:  # bump(0, 1, 2, 3): g is near 1e-56 here, so the floor sets its accuracy
+        small = xs[(np.abs(xs) < g.switch) & (xs != 0.0)]
+        assert_allclose(g(small), f(small) / small, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("knots", [(-0.004, 0.001, 1.0, 2.0), (-0.0005, 0.0025, 1.0, 2.0),
+                                   (-0.002, 0.002, 1.0, 2.0)])
+def test_difference_quotient_meets_its_tolerance_or_raises(knots):
+    # transitions narrower than 0.01 with the origin inside are near-jumps, which all
+    # 15 nodes of a first cut can miss at some points (such a point alone is accepted).
+    # Over 160 points the call raises, or every point is within 1e-12 of the direct
+    # quotient: not 57% off, as equal panels doubled on [0, 1] were on the first bump
+    f = bump(*knots)
+    g = difference_quotient(f)
+    xs = np.linspace(-g.switch, g.switch, 201)[1:-1]
+    xs = xs[np.abs(xs) > 1e-3]
+    direct = (f(xs) - f(0.0)) / xs
+    try:
+        values = g(xs)
+    except ArithmeticError as err:
+        assert "panels" in str(err)
+    else:
+        assert np.max(np.abs(values - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
+def test_difference_quotient_refines_only_where_needed():
+    # the origin mid-way through a 0.01-wide transition: a row bisects only the
+    # panels near it. The bound is half the 17 972 jet points that equal panels
+    # doubled over all of [0, 1] need
+    f = bump(-0.00502, 0.00498, 1.0, 1.01)
+    points = []
+
+    def jet(x, order):
+        points.append(np.size(x))
+        return f.jet(x, order)
+
+    g = difference_quotient(TestFunction(f.support, jet=jet))
+    points.clear()
+    jet = g.jet(_probe_points(f), 2)
+    assert sum(points) < 9000
+    assert all(np.isfinite(c).all() for c in jet)
+
+
 # -- Jets against the full-array formula: every step evaluated on every point
 # and the bump taken as the product of two step jets. The library runs the
 # mollifiers only inside the transitions; order 0 must agree bit for bit and
