@@ -17,7 +17,7 @@ import numpy as np
 
 from ._util import newton, require_count, require_positive
 from .families import half_abs, lorentz_delta_n, sinc_kink
-from .pairing import pair_lorentz
+from .pairing import pair_lorentz_ladder
 from .seqdist import DEFAULT_GRID, check_zero_off_origin, lorentz_delta_seq, sinc_step_seq
 from .special import dirichlet_tail, fubini_square, si, si_half_pi_roots, sinc_sq_integral
 from .testfn import bump, difference_quotient
@@ -86,7 +86,7 @@ def _lorentz_rate_majorant(*eps):
     |value - f(0)| <= (S eps / pi)(ln(M^2 + eps^2) - ln eps^2)
                       + |2 arctan(M/eps)/pi - 1| |f(0)|,
     with S the sup of the difference quotient of f on [-M, M], taken at the
-    maxima of its modulus. Without eps the widths are 1e-1, 1e-2, 1e-3, 1e-4.
+    maxima of its modulus. The widths are one ladder (1e-1, 1e-2, 1e-3, 1e-4 without eps).
     """
     eps_list = tuple(require_positive(e, "eps") for e in eps) or (1e-1, 1e-2, 1e-3, 1e-4)
     f = bump(-2.0, -1.0, 1.0, 2.0)
@@ -95,8 +95,7 @@ def _lorentz_rate_majorant(*eps):
     S = _critical_sup(difference_quotient(f), M)
     rows, unconverged = [], []
     ok = True
-    for eps in eps_list:
-        res = pair_lorentz(eps, f, tol=1e-11)
+    for eps, res in zip(eps_list, pair_lorentz_ladder(eps_list, f, tol=1e-11)):
         if not res.converged:
             unconverged.append(f"{eps:g}")
         err = abs(res.value - f0)

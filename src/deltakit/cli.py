@@ -148,7 +148,10 @@ def cmd_pair(config):
     else:  # the whole ladder is one quadrature
         mode, results = "log_corrected", pair_lorentz_ladder(config.params, f)
     runs = list(zip(config.params, results))
-    limit = extrapolate_limit([(p, res.value) for p, res in runs], mode=mode)
+    try:
+        limit = extrapolate_limit([(p, res.value) for p, res in runs], mode=mode)
+    except ValueError:  # a degenerate fit has no limit: JSON null, CSV nan, and it fails
+        limit = math.nan
     limit_error = abs(limit - f0)
     passed = limit_error <= config.tolerance and all(res.converged for _, res in runs)
     return _write_report(
@@ -157,7 +160,8 @@ def cmd_pair(config):
         + ["limit,%.17g,%.17g\n" % (limit, limit_error)],
         [[{"param": p, "value": res.value, "abs_error_estimate": res.abs_error_estimate}
           for p, res in runs]],
-        extrapolated_limit=limit, target_value_at_zero=f0, abs_limit_error=limit_error)
+        extrapolated_limit=None if math.isnan(limit) else limit, target_value_at_zero=f0,
+        abs_limit_error=None if math.isnan(limit) else limit_error)
 
 
 def cmd_certify(config, certify_parser):

@@ -123,18 +123,26 @@ def _panel_rule(f, lo, hi):
     return k15, np.abs(k15 - g7)
 
 
-def _initial_edges(edges, max_panel):
-    """Panel edges of sorted, distinct edges. With max_panel > 0 each segment
-    [lo, hi] is cut into n_sub = ceil((hi - lo)/max_panel) panels whose k-th
-    edge is lo + k*((hi - lo)/n_sub), bit-identical to np.linspace; None or
-    max_panel <= 0 leaves the edges uncut, and NaN raises ValueError."""
+def _panel_counts(edges, max_panel):
+    """Panels per segment [lo, hi] of sorted, distinct edges, as floats counted before
+    any edge is built: ceil((hi - lo)/max_panel), at least 1; one each for None or
+    max_panel <= 0 (no cut), and NaN raises ValueError."""
     if max_panel is not None and math.isnan(max_panel):
         raise ValueError(f"max_panel must be a number or None, got {max_panel!r}")
     if max_panel is None or max_panel <= 0:
+        return np.ones(edges.size - 1)
+    return np.maximum(1.0, np.ceil((edges[1:] - edges[:-1]) / max_panel))
+
+
+def _initial_edges(edges, n_sub):
+    """Panel edges of sorted, distinct edges, each segment [lo, hi] cut into its
+    n_sub (from _panel_counts) panels, whose k-th edge is lo + k*((hi - lo)/n_sub),
+    bit-identical to np.linspace."""
+    if (n_sub == 1.0).all():
         return edges
+    n_sub = n_sub.astype(int)
     lo = edges[:-1]
     width = edges[1:] - lo
-    n_sub = np.maximum(1, np.ceil(width / max_panel)).astype(int)
     k = np.arange(n_sub.sum()) - (n_sub.cumsum() - n_sub).repeat(n_sub)
     refined = lo.repeat(n_sub) + k * (width / n_sub).repeat(n_sub)
     return np.concatenate((refined, edges[-1:]))
@@ -222,13 +230,13 @@ def _first_cut(a, b, breakpoints, max_panel, max_panels):
     into panels no wider than max_panel, a cap widened where that cut would exceed
     max_panels."""
     cuts = np.array(sorted({a, b}.union(p for p in map(float, breakpoints) if a < p < b)))
-    edges = _initial_edges(cuts, max_panel)
-    if edges.size - 1 > max_panels:
+    n_sub = _panel_counts(cuts, max_panel)
+    if n_sub.sum() > max_panels:
         # widen the cap: sum(ceil(w / cap)) over the segments is below sum(w) / cap plus
         # their count, so the first cut fits; 4 EPS covers the rounding of each w / cap
         spare = max_panels - (cuts.size - 2)
-        edges = _initial_edges(cuts, (b - a) / spare * (1.0 + 4.0 * EPS) if spare > 0 else None)
-    return edges
+        n_sub = _panel_counts(cuts, (b - a) / spare * (1.0 + 4.0 * EPS) if spare > 0 else None)
+    return _initial_edges(cuts, n_sub)
 
 
 def _refine_rows(rule, panels, lo, hi, tol, max_panels):
@@ -300,10 +308,12 @@ def anchored_primitive_values(f, xs, *, tol=1e-10, max_panel=None, levels=1):
     if lo_end == hi_end:
         return maybe_scalar(np.zeros(xs_arr.shape), scalar)
     # a sorted set: np.unique (numpy 2.4) left a deck's peak RSS 1.6 MB higher
-    edges = _initial_edges(np.array(sorted({lo_end, 0.0, hi_end})), max_panel)
-    if edges.size - 1 > MAX_PANELS:
+    cuts = np.array(sorted({lo_end, 0.0, hi_end}))
+    n_sub = _panel_counts(cuts, max_panel)
+    if n_sub.sum() > MAX_PANELS:
         raise QuadratureError(f"lifting [{float(lo_end)!r}, {float(hi_end)!r}] at max_panel "
-                              f"{max_panel!r} needs {edges.size - 1} panels, over {MAX_PANELS}")
+                              f"{max_panel!r} needs {n_sub.sum():.17g} panels, over {MAX_PANELS}")
+    edges = _initial_edges(cuts, n_sub)
     _, lo, hi, coef, errs = _refine_rows(lambda _, lo, hi: _lift_coefficients(f, lo, hi),
                                          np.array([edges.size - 1]), edges[:-1], edges[1:],
                                          tol, MAX_PANELS)

@@ -202,13 +202,13 @@ def test_pair_fails_when_a_pairing_does_not_converge(monkeypatch, capsys):
 
 
 def test_lemma5_rate_fails_when_a_pairing_does_not_converge(monkeypatch, capsys):
-    real = deltakit.certify.pair_lorentz
+    real = deltakit.certify.pair_lorentz_ladder
 
-    def pair_lorentz(eps, f, *, tol=1e-10):
-        res = real(eps, f, tol=tol)
-        return dataclasses.replace(res, converged=False) if eps == 1e-3 else res
+    def pair_lorentz_ladder(eps_list, f, *, tol=1e-10):
+        return [dataclasses.replace(res, converged=False) if eps == 1e-3 else res
+                for eps, res in zip(eps_list, real(eps_list, f, tol=tol))]
 
-    monkeypatch.setattr(deltakit.certify, "pair_lorentz", pair_lorentz)
+    monkeypatch.setattr(deltakit.certify, "pair_lorentz_ladder", pair_lorentz_ladder)
     report = run_certificate("lemma5_rate")
     assert not report.passed
     assert report.summary == "pairing at eps = 0.001 did not converge"
@@ -331,6 +331,39 @@ def test_lorentz_ladder_is_one_quadrature(monkeypatch, capsys):
     code, out = run_cli(capsys, *GOLDEN_ARGV["pair_lorentz"])
     assert code == 0 and calls == [4]
     assert out == (GOLDEN / "pair_lorentz.json").read_text()
+
+
+def test_lemma5_rate_pairs_its_widths_as_one_quadrature(monkeypatch, capsys):
+    # the default widths, and the deck's five, are the rows of one _quad_rows call
+    calls = []
+    real = deltakit.pairing._quad_rows
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(deltakit.pairing, "_quad_rows", counted)
+    code, out = run_cli(capsys, *GOLDEN_ARGV["certify_lemma5_rate"])
+    assert code == 0 and calls == [4]
+    assert out == (GOLDEN / "certify_lemma5_rate.json").read_text()
+    calls.clear()
+    assert run_certificate("lemma5_rate", 0.2, 0.02, 0.002, 0.0002, 0.00002).passed
+    assert calls == [5]
+
+
+def test_pair_reports_a_degenerate_fit(capsys):
+    # 1/R are equal to rounding against the intercept column: no limit is reported
+    params = "1e-300,1e-299,1e-298"
+    argv = ["pair", "--family", "fourier", "--params", params]
+    code, out = run_cli(capsys, *argv)
+    report = json.loads(out)
+    assert code == 1 and report["verdict"] == "fail"
+    assert report["extrapolated_limit"] is None and report["abs_limit_error"] is None
+    assert [r["param"] for r in report["results"]] == [float(p) for p in params.split(",")]
+    code, out = run_cli(capsys, *argv, "--format", "csv")
+    lines = out.splitlines()
+    assert code == 1 and lines[0] == "param,value,abs_error_estimate"
+    assert len(lines) == 5 and lines[-1] == "limit,nan,nan"
 
 
 def test_figure_bad_id_exit_2(capsys):

@@ -393,6 +393,21 @@ def test_first_cut_fits_in_max_panels():
     assert abs(res.value - (1.0 - math.cos(100.0))) <= 1e-12
 
 
+def test_first_cut_is_counted_before_it_is_built():
+    # the uncapped cut holds 1e300 panels: only its count is ever taken
+    res = adaptive_quad(np.cos, 0.0, 1.0, max_panel=1e-300, max_panels=1000)
+    assert res.panels_used == 1000 and res.converged
+    assert res.value == math.sin(1.0)
+
+
+def test_lifting_counts_its_first_cut_before_it_is_built():
+    def f(x):
+        raise AssertionError("f was evaluated")
+
+    with pytest.raises(QuadratureError, match=r"needs 9\.9+e\+299 panels, over 200000"):
+        quadrature.anchored_primitive_values(f, [0.0, 1.0], max_panel=1e-300)
+
+
 def test_lifting_raises_before_sampling_past_max_panels(monkeypatch):
     def f(x):
         raise AssertionError("f was evaluated")
