@@ -7,7 +7,8 @@ sum once, so results are deterministic bit-for-bit for a given panel set.
 One bisection loop refines every panel set, on a panel rule: Kronrod-15 for
 rows, integrals of f(i, x) over one interval, each row from its own first cut
 (adaptive_quad is the one-row call), the Chebyshev coefficients of
-anchored_primitive_values, or the jets of testfn.DifferenceQuotient.
+anchored_primitive_values, or the jets of testfn.DifferenceQuotient, whose
+stacked integrands (..., panels, 15) _panel_rule sums row by row like (panels, 15).
 
 anchored_primitive_values integrates from 0 to many points at once with
 piecewise Chebyshev interpolants and their exact antiderivatives (Clenshaw &
@@ -94,7 +95,7 @@ def _call_integrand(f, pts):
     with np.errstate(all="ignore"):
         try:
             out = np.asarray(f(pts), dtype=float)
-            if out.shape == pts.shape:
+            if out.shape[out.ndim - pts.ndim:] == pts.shape:
                 return out
         except (TypeError, ValueError):
             pass
@@ -105,7 +106,8 @@ def _call_integrand(f, pts):
 
 
 def _panel_rule(f, lo, hi):
-    """Kronrod-15 values and |K15 - G7| error estimates for a batch of panels."""
+    """Kronrod-15 values and |K15 - G7| error estimates for a batch of panels; f may stack
+    its values as (..., panels, 15), and each row is summed as a call of its own would be."""
     hw = 0.5 * (hi - lo)
     pts = (0.5 * (lo + hi))[:, None] + hw[:, None] * NODES
     fx = _call_integrand(f, pts)
@@ -113,13 +115,13 @@ def _panel_rule(f, lo, hi):
     # One temporary serves both weighted sums; fx is never written, since an
     # integrand may return its argument pts.
     weighted = fx * KRONROD_WEIGHTS
-    k15 = hw * weighted.sum(axis=1)
+    k15 = hw * weighted.sum(axis=-1)
     if not np.isfinite(k15).all():
-        bad = pts[~np.isfinite(fx)]
+        bad = np.broadcast_to(pts, fx.shape)[~np.isfinite(fx)]
         if bad.size:
             raise QuadratureError(f"integrand returned a non-finite value near x={bad[0]!r}")
     np.multiply(fx, GAUSS_WEIGHTS, out=weighted)
-    g7 = hw * weighted.sum(axis=1)
+    g7 = hw * weighted.sum(axis=-1)
     return k15, np.abs(k15 - g7)
 
 
@@ -325,10 +327,7 @@ def anchored_primitive_values(f, xs, *, tol=1e-10, max_panel=None, levels=1):
     lo, hi, series = lo[order], hi[order], coef[order]
     half = (0.5 * (hi - lo))[:, None]
     anchor = lo.searchsorted(0.0)
-    for level in range(levels):
-        if level:  # back to _chebyshev_coefficients' layout: c_0 doubled, two zero columns
-            series[:, 0] *= 2.0
-            series = np.pad(series, ((0, 0), (0, 2)))
+    for _ in range(levels):
         series = _chebyshev_antiderivative(series, half)
         # each panel's series is 0 at its left end, and its integral is its value at the right end
         series[:, 0] = -(series[:, 1:] @ (-1.0) ** np.arange(1, series.shape[1]))
@@ -341,8 +340,8 @@ def anchored_primitive_values(f, xs, *, tol=1e-10, max_panel=None, levels=1):
 
 
 def _lift_coefficients(f, lo, hi):
-    """Chebyshev coefficients of f on each panel [lo, hi], shape (panels, n + 2),
-    from one integrand call, and each panel's error estimate (hi - lo) times its
+    """Chebyshev coefficients of f on each panel [lo, hi], shape (panels, n), from
+    one integrand call, and each panel's error estimate (hi - lo) times its
     last two coefficients, |c_(n-2)| + |c_(n-1)|."""
     half = 0.5 * (hi - lo)
     pts = (lo + half)[:, None] + half[:, None] * _LIFT_COSINES[1]
@@ -351,7 +350,7 @@ def _lift_coefficients(f, lo, hi):
         raise QuadratureError(
             f"integrand returned a non-finite value near x={pts[~np.isfinite(fx)][0]!r}")
     coef = _chebyshev_coefficients(fx, _LIFT_COSINES)
-    return coef, (hi - lo) * np.abs(coef[:, LIFT_POINTS - 2:LIFT_POINTS]).sum(axis=-1)
+    return coef, (hi - lo) * np.abs(coef[:, -2:]).sum(axis=-1)
 
 
 def _chebyshev_cosines(n):
@@ -366,21 +365,22 @@ _LIFT_COSINES = _chebyshev_cosines(LIFT_POINTS)
 
 def _chebyshev_coefficients(values, cosines):
     """Coefficients c_0..c_(n-1) of the interpolant through values (last axis: the
-    n points of _chebyshev_cosines) by the cosine transform, c_0 doubled, followed
-    by two zero columns for _chebyshev_antiderivative."""
-    n = cosines.shape[0]
-    c = np.zeros(values.shape[:-1] + (n + 2,))
-    c[..., :n] = (2.0 / n) * values @ cosines.T
+    n points of _chebyshev_cosines) by the cosine transform."""
+    c = (2.0 / cosines.shape[0]) * values @ cosines.T
+    c[..., 0] *= 0.5
     return c
 
 
 def _chebyshev_antiderivative(c, half):
-    """Coefficients of an antiderivative of the series c (from _chebyshev_coefficients)
-    on pieces of half-width half, by the recurrence C_m = h (c_(m-1) - c_(m+1)) / (2m);
-    the constant term C_0 is left 0."""
-    n = c.shape[-1] - 2
+    """Coefficients of an antiderivative of the series c_0..c_(n-1) on pieces of
+    half-width half, by the recurrence C_m = h (c_(m-1) - c_(m+1)) / (2m) with c_0
+    doubled and c_n = c_(n+1) = 0; the constant term C_0 is left 0."""
+    n = c.shape[-1]
+    ext = np.zeros(c.shape[:-1] + (n + 2,))  # zeros and a slice copy: np.pad is slower
+    ext[..., :n] = c
+    ext[..., 0] *= 2.0
     coef = np.zeros(c.shape[:-1] + (n + 1,))
-    coef[..., 1:] = half * (c[..., :n] - c[..., 2:]) / (2 * np.arange(1, n + 1))
+    coef[..., 1:] = half * (ext[..., :n] - ext[..., 2:]) / (2 * np.arange(1, n + 1))
     return coef
 
 

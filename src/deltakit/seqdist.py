@@ -183,9 +183,10 @@ def lorentz_delta_seq():
         limit_of_primitives=half_abs,
         term_derivative=lorentz_delta_prime,
         label="lorentz",
-        # the kernel decreases away from 0, so its sup on |x| >= a is its peak at a
-        off_origin=OffOriginBound(lambda ns, lo, hi: lorentz_delta_n(ns, lo), lorentz_delta_n,
-                                  "peak value of the kernel at |x| = a"))
+        # the kernel decreases away from 0: its sup on |x| >= a is its peak at a, < 1/(pi n a^2)
+        off_origin=OffOriginBound(lambda ns, lo, hi: lorentz_delta_n(ns, lo),
+                                  lambda ns, a: 1.0 / (math.pi * ns * a * a),
+                                  "majorant 1/(pi n a^2) of the kernel's peak at |x| = a"))
 
 
 def zero_seq():

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import as_float_array, maybe_scalar, require_count
-from .quadrature import GAUSS_WEIGHTS, KRONROD_WEIGHTS, NODES, _refine_rows
+from .quadrature import _panel_rule, _refine_rows
 
 __all__ = [
     "Interval",
@@ -113,7 +113,15 @@ def mollifier(x):
     return maybe_scalar(_mollifier_jet(arr, 0)[0], scalar)
 
 
-class SmoothStep:
+class _JetFunction:
+    """A function given by its jet(x, order): its value is the order-0 coefficient."""
+
+    def __call__(self, x):
+        arr, scalar = as_float_array(x)
+        return maybe_scalar(self.jet(arr, 0)[0], scalar)
+
+
+class SmoothStep(_JetFunction):
     """Smooth monotone unit step: exactly 0/1 outside its transition interval.
 
     Rising: 0 for x <= lo, 1 for x >= hi. Falling: 1 for x <= lo, 0 for x >= hi.
@@ -123,10 +131,6 @@ class SmoothStep:
     def __init__(self, lo, hi, *, falling=False):
         self.transition = Interval(lo, hi)
         self.falling = bool(falling)
-
-    def __call__(self, x):
-        arr, scalar = as_float_array(x)
-        return maybe_scalar(self.jet(arr, 0)[0], scalar)
 
     def jet(self, x, order):
         """Taylor coefficients f^(k)(x)/k! for k = 0..order, as a list of arrays."""
@@ -187,7 +191,7 @@ def smooth_step_down(gamma, delta):
     return SmoothStep(gamma, delta, falling=True)
 
 
-class TestFunction:
+class TestFunction(_JetFunction):
     """Smooth function with compact support, given by its jet.
 
     jet(x, order) is the list of its Taylor coefficients f^(k)(x)/k! for
@@ -201,10 +205,6 @@ class TestFunction:
         self.jet = jet
         self.support = Interval.coerce(support)
         self.label = label
-
-    def __call__(self, x):
-        arr, scalar = as_float_array(x)
-        return maybe_scalar(self.jet(arr, 0)[0], scalar)
 
     def __repr__(self):
         return f"TestFunction({self.label}, support=[{self.support.lo}, {self.support.hi}])"
@@ -267,7 +267,7 @@ def derivative(f, x, order=1):
     return maybe_scalar(math.factorial(order) * f.jet(arr, order)[order], scalar)
 
 
-class DifferenceQuotient:
+class DifferenceQuotient(_JetFunction):
     """g(x) = (f(x) - f(0)) / x, extended continuously through 0, given by its jet.
 
     At |x| >= switch (0.0025 of the support width) the jet is the Taylor division
@@ -280,10 +280,6 @@ class DifferenceQuotient:
         self._f = f
         self._f0 = float(f(0.0))
         self.switch = 0.0025 * f.support.width
-
-    def __call__(self, x):
-        arr, scalar = as_float_array(x)
-        return maybe_scalar(self.jet(arr, 0)[0], scalar)
 
     def jet(self, x, order):
         """Taylor coefficients g^(k)(x)/k! for k = 0..order, as a list of arrays."""
@@ -306,18 +302,18 @@ class DifferenceQuotient:
             return np.empty((order + 1, 0))
         f, s, k, ref = self._f, self._f.support, np.arange(order + 1)[:, None, None], None
 
+        def integrands(row, t):  # those of g_0..g_order, then |g_0's| for the reference
+            terms = (k + 1) * np.array(f.jet(x[row, None] * t, order + 1)[1:]) * t ** k
+            return np.concatenate([terms, np.abs(terms[:1])])
+
         def rule(row, lo, hi):  # every order's Kronrod value from one jet, the estimate on g_0
             nonlocal ref
-            hw = 0.5 * (hi - lo)
-            t = (0.5 * (lo + hi))[:, None] + hw[:, None] * NODES
-            terms = (k + 1) * np.array(f.jet(x[row, None] * t, order + 1)[1:]) * t ** k
-            kron = hw * (terms * KRONROD_WEIGHTS).sum(-1)  # row-wise, like _panel_rule
-            err = np.abs(kron[0] - hw * (terms[0] * GAUSS_WEIGHTS).sum(-1))
+            kron, (err, *_) = _panel_rule(lambda t: integrands(row, t), lo, hi)
             if ref is None:  # the first cut: panel i is row i's
-                ref = hw * (np.abs(terms[0]) * KRONROD_WEIGHTS).sum(-1)
+                ref = kron[-1]
                 if (err > 1e-12 * ref).any():
                     ref = np.maximum(ref, np.abs(f(np.linspace(s.lo, s.hi, 65))).max() / s.width)
-            return kron.T, np.divide(err, ref[row], out=np.zeros_like(err), where=err > 0)
+            return kron[:-1].T, np.divide(err, ref[row], out=np.zeros_like(err), where=err > 0)
 
         row, _, _, vals, errs = _refine_rows(rule, np.ones(x.size, int), np.zeros(x.size),
                                              np.ones(x.size), 1e-12, MAX_QUOTIENT_PANELS)

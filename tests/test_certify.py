@@ -107,3 +107,21 @@ def test_lorentz_sup_is_the_kernel_at_a_bit_for_bit(a):
     # and the same as the grid's sup, which contains |x| = a
     ns = np.arange(1, 301)
     assert sups[:300] == tuple(float(s) for s in grid_sup(lorentz_delta_n)(ns, a, a + 5.0))
+
+
+@pytest.mark.parametrize("a", [0.25, 0.5, 0.7371, 1.0, 2.0])
+def test_lorentz_off_origin_bound_is_the_closed_majorant(a):
+    # the kernel's peak (n/pi)/(1 + n^2 a^2) lies strictly below 1/(pi n a^2)
+    off = lorentz_delta_seq().off_origin
+    ns = np.arange(1, 5201)
+    bounds = np.asarray(off.bound(ns, a))
+    assert bounds.tobytes() == (1.0 / (math.pi * ns * a * a)).tobytes()
+    sups = np.asarray(check_zero_off_origin(lorentz_delta_seq(), a, n_max=5200).sup_errors)
+    assert np.all(sups < bounds)
+
+
+def test_lemma6_lorentz_reports_the_majorant_at_n_max():
+    cert = run_certificate("lemma6_lorentz", 1000, 0.5)
+    assert cert.passed
+    assert cert.details["last_bound"] == 4.0 / (math.pi * 1000) == 0.0012732395447351628
+    assert cert.details["last_sup"] == lorentz_delta_n(1000, 0.5) < cert.details["last_bound"]

@@ -216,6 +216,30 @@ def test_lemma5_rate_fails_when_a_pairing_does_not_converge(monkeypatch, capsys)
     assert code == 1 and json.loads(out)["verdict"] == "fail"
 
 
+@pytest.mark.parametrize("eps", ["1e8", "1e200", "1e300,1e8,1,1e-4"])
+def test_lemma5_rate_majorant_holds_at_wide_widths(capsys, eps):
+    # ln(M^2 + eps^2) - ln(eps^2) cancelled to 0 at 1e8 and was NaN past ~1e154
+    code, out = run_cli(capsys, "certify", "lemma5_rate", "--params", eps)
+    report = json.loads(out)
+    assert code == 0 and report["verdict"] == "pass"
+    result = report["results"][0]
+    assert result["summary"] == "pairing error within the analytic eps*log majorant for all eps"
+    assert all(math.isfinite(row["majorant"]) for row in result["details"]["samples"])
+
+
+def test_lemma5_rate_reports_a_width_whose_square_overflows(capsys):
+    # (M/eps)^2 overflows below eps ~ 1.5e-154: the majorant is then 2 ln(M/eps) based,
+    # finite, and the unconverged pairing fails the run without a traceback
+    code, out = run_cli(capsys, "certify", "lemma5_rate", "--params", "1e-160")
+    report = json.loads(out)["results"][0]
+    assert code == 1 and capsys.readouterr().err == ""
+    assert report["summary"] == "pairing at eps = 1e-160 did not converge"
+    (row,) = report["details"]["samples"]
+    S = report["details"]["sup_difference_quotient"]
+    assert row["majorant"] == pytest.approx(S * 1e-160 / math.pi * 2.0 * math.log(2e160),
+                                            rel=1e-15, abs=0.0)
+
+
 def test_certify_si_tail_and_identity(capsys):
     for name in ("si_tail", "eq23_identity"):
         code, out = run_cli(capsys, "certify", name)

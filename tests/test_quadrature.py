@@ -32,6 +32,57 @@ def test_panel_rule_names_a_bad_point(bad):
     assert 0.5 < x < 2.0
 
 
+def test_panel_rule_sums_stacked_values_row_by_row():
+    # values stacked as (m, panels, 15) give, row by row, the bits of m calls
+    rows = [np.cos, lambda x: np.exp(-x * x) * np.sin(7.0 * x), lambda x: x ** 5 - 3.0 * x,
+            lambda x: np.abs(x - 0.3)]
+    lo = np.array([-1.0, 0.25, 0.3, 2.0, -7.5])
+    hi = np.array([0.25, 0.3, 2.0, 2.5, -1.0])
+    k15, err = _panel_rule(lambda x: np.stack([g(x) for g in rows]), lo, hi)
+    assert k15.shape == err.shape == (len(rows), lo.size)
+    for i, g in enumerate(rows):
+        one_k15, one_err = _panel_rule(g, lo, hi)
+        assert k15[i].tobytes() == one_k15.tobytes()
+        assert err[i].tobytes() == one_err.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_panel_rule_names_a_bad_point_of_a_later_value_row(bad):
+    def f(x):  # the first row is finite; the third is not right of 2.6
+        return np.stack([np.cos(x), np.sin(x), np.where(x > 2.6, bad, x)])
+
+    with pytest.raises(QuadratureError, match="non-finite") as exc:
+        _panel_rule(f, np.array([0.0, 2.0]), np.array([2.0, 3.0]))
+    x = float(re.search(r"x=(?:np\.float64\()?([-+0-9.e]+)", str(exc.value)).group(1))
+    assert 2.6 < x < 3.0 and x in (2.5 + 0.5 * NODES)
+
+
+def _antiderivative_on_the_old_layout(values, cosines, half):
+    """The reference: the cosine transform laid out with c_0 doubled and two zero columns
+    appended, then C_m = h (c_(m-1) - c_(m+1)) / (2m) on it, C_0 left 0."""
+    n = cosines.shape[0]
+    c = np.zeros(values.shape[:-1] + (n + 2,))
+    c[..., :n] = (2.0 / n) * values @ cosines.T
+    coef = np.zeros(c.shape[:-1] + (n + 1,))
+    coef[..., 1:] = half * (c[..., :n] - c[..., 2:]) / (2 * np.arange(1, n + 1))
+    return coef
+
+
+@pytest.mark.parametrize("n", [3, 16, quadrature.LIFT_POINTS])
+def test_antiderivative_of_plain_coefficients_matches_the_old_layout(n):
+    rng = np.random.default_rng(n)
+    cosines = quadrature._chebyshev_cosines(n)
+    values = rng.standard_normal((40, n)) * np.exp(rng.uniform(-30.0, 30.0, (40, 1)))
+    half = rng.uniform(1e-6, 3.0, (40, 1))
+    c = quadrature._chebyshev_coefficients(values, cosines)
+    # plain coefficients: sum_m c_m T_m interpolates the values at the nodes
+    assert c.shape == (40, n)
+    through = np.array([np.polynomial.chebyshev.chebval(cosines[1], row) for row in c])
+    assert np.all(np.abs(through - values) <= 1e-13 * np.abs(values).max(axis=-1, keepdims=True))
+    new = quadrature._chebyshev_antiderivative(c, half)
+    assert new.tobytes() == _antiderivative_on_the_old_layout(values, cosines, half).tobytes()
+
+
 def test_identity_integrand_is_not_overwritten():
     # the integrand returns its own argument, the node array
     assert adaptive_quad(lambda x: x, 0.0, 2.0).value == 2.0
