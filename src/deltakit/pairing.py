@@ -6,7 +6,8 @@ the Kronrod rule always resolves the integrand; the Lorentz kernel instead
 seeds panel edges at dyadic multiples of eps around the peak. A ladder of
 Lorentz widths is paired as the rows of one quadrature, each width with its
 own first cut, so f is evaluated once a round for the whole ladder;
-pair_lorentz is its one-width call.
+pair_lorentz is its one-width call. sine_decay_fit's samples are the rows
+of one quadrature too, one per cutoff r.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import numpy as np
 
 from ._util import require_positive
 from .families import lorentz_delta, sinc_delta
-from .quadrature import QuadratureError, _quad_rows, adaptive_quad, half_period_cap
+from .quadrature import (MAX_PANELS, QuadratureError, _first_cut, _quad_rows, adaptive_quad,
+                         half_period_cap)
 from .special import si
 from .testfn import Interval, derivative, difference_quotient
 
@@ -106,9 +108,8 @@ def pair_lorentz_ladder(eps_list, f, *, tol=1e-10):
         while scale < reach:
             edges.extend((scale, -scale))
             scale *= 2.0
-        cuts.append(edges)
-    return _quad_rows(lambda i, x: lorentz_delta(eps[i], x) * f(x), eps.size,
-                      f.support.lo, f.support.hi, tol=tol, max_panel=0.5, row_breakpoints=cuts)
+        cuts.append(_first_cut(f.support.lo, f.support.hi, edges, 0.5, MAX_PANELS))
+    return _quad_rows(lambda i, x: lorentz_delta(eps[i], x) * f(x), cuts, tol=tol)
 
 
 def sine_decay_fit(g, interval, r_list):
@@ -118,17 +119,21 @@ def sine_decay_fit(g, interval, r_list):
     For continuously differentiable g the integration-by-parts constant
     C = |g(hi)| + |g(lo)| + integral |g'| bounds |I(r)| by C/r; a violation
     raises ArithmeticError (a numerical failure, not a property of g), and a
-    sample or the bound integral that does not converge QuadratureError.
+    sample or the bound integral that does not converge QuadratureError. The
+    samples are the rows of one quadrature, each r's cut first into panels at
+    most half a period wide, so g is evaluated once a round for all of them.
     """
     iv = Interval.coerce(interval)
     rs = [require_positive(r, "r") for r in r_list]
     if len(rs) < 2 or any(b <= a for a, b in zip(rs, rs[1:])):
         raise ValueError("r_list must be increasing with at least 2 entries")
 
+    r_arr = np.array(rs)
+    rows = _quad_rows(lambda i, x: np.asarray(g(x), dtype=float) * np.sin(r_arr[i] * x),
+                      [_first_cut(iv.lo, iv.hi, (), half_period_cap(r), MAX_PANELS) for r in rs],
+                      tol=SINE_DECAY_TOL)
     samples = []
-    for r in rs:
-        res = adaptive_quad(lambda x: np.asarray(g(x), dtype=float) * np.sin(r * x),
-                            iv.lo, iv.hi, tol=SINE_DECAY_TOL, max_panel=half_period_cap(r))
+    for r, res in zip(rs, rows):
         if not res.converged:
             raise QuadratureError(f"sine_decay_fit: the integral at r = {r:g} did not converge")
         samples.append((r, res.value))

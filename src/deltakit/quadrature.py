@@ -4,11 +4,13 @@ The engine evaluates whole batches of panels per call (integrands receive
 ndarrays), bisects the panels whose embedded 7/15-point difference is too
 large, and sums panel contributions with `math.fsum`, which rounds the exact
 sum once, so results are deterministic bit-for-bit for a given panel set.
-One bisection loop refines every panel set, on a panel rule: Kronrod-15 for
-rows, integrals of f(i, x) over one interval, each row from its own first cut
-(adaptive_quad is the one-row call), the Chebyshev coefficients of
-anchored_primitive_values, or the jets of testfn.DifferenceQuotient, whose
-stacked integrands (..., panels, 15) _panel_rule sums row by row like (panels, 15).
+One bisection loop refines every panel set, each row from the first cut, the
+sorted panel edges, that its caller hands it, on a panel rule: Kronrod-15 for
+rows, integrals of f(i, x) whose cuts _first_cut builds (adaptive_quad is the
+one-row call, and the one place that checks and orients endpoints), the
+Chebyshev coefficients of anchored_primitive_values, or the jets of
+testfn.DifferenceQuotient, whose stacked integrands (..., panels, 15)
+_panel_rule sums row by row like (panels, 15).
 
 anchored_primitive_values integrates from 0 to many points at once with
 piecewise Chebyshev interpolants and their exact antiderivatives (Clenshaw &
@@ -20,7 +22,7 @@ evaluation also build special.si's table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -165,65 +167,50 @@ def adaptive_quad(f, a, b, *, tol=1e-10, max_panel=None, breakpoints=(),
     max_panels; breakpoints seed extra panel edges (kinks, near-singular
     scales). The returned error estimate is the sum of the per-panel
     |K15 - G7| differences, which is conservative for smooth integrands,
-    and converged says whether it met tol.
-    """
-    return _quad_rows(lambda _, x: f(x), 1, a, b, tol=tol, max_panel=max_panel,
-                      breakpoints=breakpoints, max_panels=max_panels)[0]
-
-
-def _quad_rows(f, rows, a, b, *, tol, max_panel=None, breakpoints=(), max_panels=MAX_PANELS,
-               row_breakpoints=None):
-    """Integrate f(i, x) over [a, b] for each row i < rows: one QuadResult per row.
-
-    f receives a column of row indices broadcast against the Kronrod nodes.
-    Every row is refined exactly as adaptive_quad(lambda x: f(i, x), a, b, ...)
-    refines it, with breakpoints plus row_breakpoints[i] (when given, one
-    sequence per row) as its breakpoints, so its result is the same bit for
-    bit. A first cut that every row shares is built once. Rows are refined in
-    blocks whose first cuts hold at most ROW_BLOCK_NODES nodes in all (a block
-    holds at least one row).
+    and converged says whether it met tol. b < a gives the negated result
+    over [b, a], and a == b an exact, converged 0.
     """
     a = float(a)
     b = float(b)
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("integration endpoints must be finite")
-    if a == b or not rows:
-        return [QuadResult(0.0, 0.0, 1, True)] * rows
-    sign = 1.0
-    if b < a:
-        a, b = b, a
-        sign = -1.0
+    if a == b:
+        return QuadResult(0.0, 0.0, 1, True)
+    lo, hi = min(a, b), max(a, b)
+    res, = _quad_rows(lambda _, x: f(x), [_first_cut(lo, hi, breakpoints, max_panel, max_panels)],
+                      tol=tol, max_panels=max_panels)
+    return res if a < b else replace(res, value=-res.value)
 
-    # the first cuts' panels, row by row, and each row's panel count
-    if row_breakpoints is None:  # one cut for every row, built once
-        cut = _first_cut(a, b, breakpoints, max_panel, max_panels)
-        grid = cut[None].repeat(rows, 0)
-        lo, hi = grid[:, :-1].ravel(), grid[:, 1:].ravel()
-        panels = np.full(rows, cut.size - 1)
-    else:
-        cuts = [_first_cut(a, b, [*breakpoints, *p], max_panel, max_panels)
-                for p in row_breakpoints]
-        lo, hi = np.concatenate([c[:-1] for c in cuts]), np.concatenate([c[1:] for c in cuts])
-        panels = np.array([c.size - 1 for c in cuts])
-    ends = panels.cumsum()
+
+def _quad_rows(f, cuts, *, tol, max_panels=MAX_PANELS):
+    """Integrate f(i, x) over row i's first cut cuts[i], the sorted panel edges that
+    _first_cut builds: one QuadResult per row.
+
+    f receives a column of row indices broadcast against the Kronrod nodes.
+    Every row is refined exactly as adaptive_quad refines its one row, so a
+    row whose cut is built as adaptive_quad(lambda x: f(i, x), a, b, ...)
+    builds it gives that call's result bit for bit. Rows are refined in
+    blocks whose first cuts hold at most ROW_BLOCK_NODES nodes in all (a block
+    holds at least one row).
+    """
+    ends = np.cumsum([len(c) - 1 for c in cuts])  # the panels of rows 0..i
     results = []
     first = p0 = 0  # the block's first row and first panel
-    while first < rows:
+    while first < len(cuts):
         # the block ends before the row that would take it past ROW_BLOCK_NODES
         stop = max(first + 1, int(ends.searchsorted(p0 + ROW_BLOCK_NODES // NODES.size,
                                                     side="right")))
-        p1 = int(ends[stop - 1])
         row, _, _, vals, errs = _refine_rows(
             lambda r, lo, hi: _panel_rule(lambda x: f(first + r[:, None], x), lo, hi),
-            panels[first:stop], lo[p0:p1], hi[p0:p1], tol, max_panels)
+            cuts[first:stop], tol, max_panels)
         order = row.argsort(kind="stable")  # math.fsum is exact in any order
         vals, errs = vals[order], errs[order]
         end = 0
         for n in np.bincount(row, minlength=stop - first).tolist():
             start, end = end, end + n
             value, err = math.fsum(vals[start:end].tolist()), math.fsum(errs[start:end].tolist())
-            results.append(QuadResult(sign * value, err, n, err <= tol))
-        first, p0 = stop, p1
+            results.append(QuadResult(value, err, n, err <= tol))
+        first, p0 = stop, int(ends[stop - 1])
     return results
 
 
@@ -241,20 +228,25 @@ def _first_cut(a, b, breakpoints, max_panel, max_panels):
     return _initial_edges(cuts, n_sub)
 
 
-def _refine_rows(rule, panels, lo, hi, tol, max_panels):
-    """The one bisection loop: the panels of rows 0..panels.size-1, where row i is cut
-    first into panels[i] panels, the next ones of [lo, hi].
+def _refine_rows(rule, cuts, tol, max_panels):
+    """The one bisection loop: the panels of rows 0..len(cuts)-1, where row i is cut
+    first at the sorted edges cuts[i].
 
     rule(row, lo, hi) gives each panel's value (a float, or a row of Chebyshev
     coefficients or jet values) and error estimate. Panels of all rows share
-    flat arrays; each round keeps the unsplit panels, then appends the left and
-    the right halves, so every row sees its panels in the order a one-row loop
-    has. A round splits the panels over their row's share of tol that are wide
-    enough to split, in rows over tol and below max_panels; a row with no such
-    panel stops there, unconverged. Returns row, lo, hi, values, errors.
+    flat arrays, laid out from the concatenated cuts by a fixed number of
+    array operations, not one per row; each round keeps the unsplit panels,
+    then appends the left and the right halves, so every row sees its panels
+    in the order a one-row loop has. A round splits the panels over their
+    row's share of tol that are wide enough to split, in rows over tol and
+    below max_panels; a row with no such panel stops there, unconverged.
+    Returns row, lo, hi, values, errors.
     """
-    rows = panels.size
-    row = np.arange(rows).repeat(panels)
+    rows = len(cuts)
+    edges = np.concatenate(cuts, dtype=float)
+    row = np.arange(rows).repeat(np.fromiter(map(len, cuts), int, rows) - 1)
+    at = row + np.arange(row.size)  # left edges: each row before has one more edge than panels
+    lo, hi = edges[at], edges[at + 1]
     vals, errs = rule(row, lo, hi)
 
     for _ in range(MAX_ROUNDS):
@@ -317,8 +309,7 @@ def anchored_primitive_values(f, xs, *, tol=1e-10, max_panel=None, levels=1):
                               f"{max_panel!r} needs {n_sub.sum():.17g} panels, over {MAX_PANELS}")
     edges = _initial_edges(cuts, n_sub)
     _, lo, hi, coef, errs = _refine_rows(lambda _, lo, hi: _lift_coefficients(f, lo, hi),
-                                         np.array([edges.size - 1]), edges[:-1], edges[1:],
-                                         tol, MAX_PANELS)
+                                         [edges], tol, MAX_PANELS)
     if errs.sum() > tol:
         i = errs.argmax()
         raise QuadratureError(f"lifting did not converge on [{float(lo[i])!r}, {float(hi[i])!r}]")

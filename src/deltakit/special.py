@@ -18,9 +18,9 @@ import math
 import numpy as np
 
 from ._util import as_float_array, maybe_scalar, newton, require_positive
-from .quadrature import (QuadResult, _chebyshev_antiderivative, _chebyshev_coefficients,
-                         _chebyshev_cosines, _clenshaw, _quad_rows, adaptive_quad,
-                         anchored_primitive_values)
+from .quadrature import (MAX_PANELS, QuadResult, _chebyshev_antiderivative,
+                         _chebyshev_coefficients, _chebyshev_cosines, _clenshaw, _first_cut,
+                         _quad_rows, adaptive_quad, anchored_primitive_values)
 
 __all__ = ["si", "si_half_pi_roots", "dirichlet_tail", "sinc_sq_integral", "fubini_square"]
 
@@ -219,12 +219,12 @@ def fubini_square(R, order="x_first"):
     inner, inner_cap, outer_cap = _FUBINI_ORDERS[order]
     inner_tol = max(1e-14, FUBINI_TOL / (20.0 * R))
     inner_converged = True
+    cut = _first_cut(0.0, R, (), inner_cap, MAX_PANELS)  # every inner integral's, built once
 
     def outer_integrand(ts):
         nonlocal inner_converged
         nodes = ts.ravel()
-        rows = _quad_rows(lambda i, x: inner(nodes[i], x), nodes.size, 0.0, R,
-                          tol=inner_tol, max_panel=inner_cap)
+        rows = _quad_rows(lambda i, x: inner(nodes[i], x), [cut] * nodes.size, tol=inner_tol)
         inner_converged = inner_converged and all(r.converged for r in rows)
         return np.reshape([r.value for r in rows], ts.shape)
 

@@ -303,7 +303,9 @@ class DifferenceQuotient(_JetFunction):
         f, s, k, ref = self._f, self._f.support, np.arange(order + 1)[:, None, None], None
 
         def integrands(row, t):  # those of g_0..g_order, then |g_0's| for the reference
-            terms = (k + 1) * np.array(f.jet(x[row, None] * t, order + 1)[1:]) * t ** k
+            # t^k by products: numpy's power rounds t ** 2 differently in small and large batches
+            powers = np.cumprod([np.ones(t.shape)] + [t] * order, axis=0)
+            terms = (k + 1) * np.array(f.jet(x[row, None] * t, order + 1)[1:]) * powers
             return np.concatenate([terms, np.abs(terms[:1])])
 
         def rule(row, lo, hi):  # every order's Kronrod value from one jet, the estimate on g_0
@@ -315,8 +317,7 @@ class DifferenceQuotient(_JetFunction):
                     ref = np.maximum(ref, np.abs(f(np.linspace(s.lo, s.hi, 65))).max() / s.width)
             return kron[:-1].T, np.divide(err, ref[row], out=np.zeros_like(err), where=err > 0)
 
-        row, _, _, vals, errs = _refine_rows(rule, np.ones(x.size, int), np.zeros(x.size),
-                                             np.ones(x.size), 1e-12, MAX_QUOTIENT_PANELS)
+        row, _, _, vals, errs = _refine_rows(rule, [[0, 1]] * x.size, 1e-12, MAX_QUOTIENT_PANELS)
         if not (total := np.bincount(row, errs, x.size)).max() <= 1e-12:  # NaN fails too
             raise ArithmeticError(f"the difference quotient of {f!r} at x = {x[total.argmax()]!r} "
                                   f"needs more than {MAX_QUOTIENT_PANELS} panels")

@@ -169,22 +169,45 @@ def test_sine_decay_difference_quotient_rate():
     assert fit.n_excluded == 0
 
 
-def test_sine_decay_raises_when_an_integral_does_not_converge(monkeypatch):
-    real = pairing.adaptive_quad
+@pytest.mark.parametrize("f", [make_bump(), bump(-1.0, -0.95, 0.95, 1.0).shifted(0.975)],
+                         ids=["default bump", "narrow shifted bump"])
+def test_sine_decay_samples_are_rows_of_one_quadrature(monkeypatch, f):
+    # every r is a row of one _quad_rows call, cut first into half-period panels, and
+    # its sample is the one adaptive_quad call for that r, bit for bit
+    g = difference_quotient(f)
+    lo, hi = f.support.lo, f.support.hi
+    rs = np.geomspace(10.0, 1e4, 13).tolist()
+    rows = []
+    real = pairing._quad_rows
 
-    def unconverged(bound_only):
-        # the samples cap their panels at half a period; the bound integral does not
-        def quad(*args, **kwargs):
-            res = real(*args, **kwargs)
-            stop = not bound_only or "max_panel" not in kwargs
-            return dataclasses.replace(res, converged=res.converged and not stop)
-        return quad
+    def counted(*args, **kwargs):
+        rows.append(len(args[1]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pairing, "_quad_rows", counted)
+    fit = sine_decay_fit(g, (lo, hi), rs)
+    assert rows == [len(rs)]
+    for (r, value), want_r in zip(fit.samples, rs):
+        want = adaptive_quad(lambda x: np.asarray(g(x), dtype=float) * np.sin(want_r * x), lo,
+                             hi, tol=pairing.SINE_DECAY_TOL, max_panel=half_period_cap(want_r))
+        assert r == want_r and value.hex() == want.value.hex()
+
+
+def test_sine_decay_raises_when_an_integral_does_not_converge(monkeypatch):
+    real_rows, real_quad = pairing._quad_rows, pairing.adaptive_quad
+
+    def unconverged_rows(*args, **kwargs):  # the samples: rows of one _quad_rows call
+        return [dataclasses.replace(r, converged=False) for r in real_rows(*args, **kwargs)]
+
+    def unconverged_quad(*args, **kwargs):  # the bound integral: one adaptive_quad call
+        return dataclasses.replace(real_quad(*args, **kwargs), converged=False)
 
     g = difference_quotient(make_bump())
-    monkeypatch.setattr(pairing, "adaptive_quad", unconverged(False))
+    monkeypatch.setattr(pairing, "_quad_rows", unconverged_rows)
     with pytest.raises(QuadratureError, match="integral at r = 10 did not converge"):
         sine_decay_fit(g, (-2.0, 2.0), [10.0, 20.0])
-    monkeypatch.setattr(pairing, "adaptive_quad", unconverged(True))
+    monkeypatch.setattr(pairing, "_quad_rows", real_rows)
+    monkeypatch.setattr(pairing, "adaptive_quad", unconverged_quad)
     with pytest.raises(QuadratureError, match=r"bound integral of \|g'\| did not converge"):
         sine_decay_fit(g, (-2.0, 2.0), [10.0, 20.0])
 

@@ -3,6 +3,7 @@
 import math
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from deltakit import (FundamentalSeq, QuadResult, QuadratureError, adaptive_quad
                       lorentz_delta_n, lorentz_kink, lorentz_step, sinc_delta,
                       sinc_kink, sinc_step)
 from deltakit import quadrature
-from deltakit.quadrature import NODES, ROW_BLOCK_NODES, _panel_rule, _quad_rows
+from deltakit.quadrature import NODES, ROW_BLOCK_NODES, _first_cut, _panel_rule, _quad_rows
 from deltakit.special import FUBINI_TOL
 
 
@@ -124,28 +125,38 @@ def _wave(i, x):
     return _A[i] / x + np.cos(_W[i] * x)
 
 
-def _one_row_calls(f, rows, a, b, **kw):
-    return [adaptive_quad(lambda x: f(i, x), a, b, **kw) for i in range(rows)]
+def _rows(f, a, b, row_kw, *, tol, max_panels=quadrature.MAX_PANELS):
+    """_quad_rows over [a, b], a < b, with row i cut first by _first_cut as
+    adaptive_quad(lambda x: f(i, x), a, b, tol=tol, max_panels=max_panels, **row_kw[i])
+    cuts it: row_kw[i] holds that row's breakpoints and max_panel."""
+    cuts = [_first_cut(a, b, kw.get("breakpoints", ()), kw.get("max_panel"), max_panels)
+            for kw in row_kw]
+    return _quad_rows(f, cuts, tol=tol, max_panels=max_panels)
+
+
+def _one_row_calls(f, a, b, row_kw, **kw):
+    return [adaptive_quad(lambda x: f(i, x), a, b, **row, **kw) for i, row in enumerate(row_kw)]
 
 
 def test_rows_match_one_row_calls():
-    rows = _quad_rows(_wave, 5, 0.0, 1.0, tol=1e-10)
-    assert rows == _one_row_calls(_wave, 5, 0.0, 1.0, tol=1e-10)
+    rows = _rows(_wave, 0.0, 1.0, [{}] * 5, tol=1e-10)
+    assert rows == _one_row_calls(_wave, 0.0, 1.0, [{}] * 5, tol=1e-10)
     assert rows[0].panels_used == rows[3].panels_used == 1
     assert rows[1].panels_used > 2 and rows[4].panels_used > rows[1].panels_used
     assert all(r.converged for i, r in enumerate(rows) if i != 2)
-    kw = dict(tol=1e-12, max_panel=0.3, breakpoints=(0.25, 0.7), max_panels=40)
-    assert _quad_rows(_wave, 5, 0.0, 1.0, **kw) == _one_row_calls(_wave, 5, 0.0, 1.0, **kw)
+    cut = [dict(max_panel=0.3, breakpoints=(0.25, 0.7))] * 5
+    kw = dict(tol=1e-12, max_panels=40)
+    assert _rows(_wave, 0.0, 1.0, cut, **kw) == _one_row_calls(_wave, 0.0, 1.0, cut, **kw)
 
 
 def test_rows_stop_when_their_flagged_panels_are_too_narrow(monkeypatch):
     # row 2's only panel over its share sits at 0 at rounding width: more
     # rounds split nothing more
-    base = _quad_rows(_wave, 5, 0.0, 1.0, tol=1e-10)
+    base = _rows(_wave, 0.0, 1.0, [{}] * 5, tol=1e-10)
     monkeypatch.setattr(quadrature, "MAX_ROUNDS", quadrature.MAX_ROUNDS + 6)
-    longer = _quad_rows(_wave, 5, 0.0, 1.0, tol=1e-10)
+    longer = _rows(_wave, 0.0, 1.0, [{}] * 5, tol=1e-10)
     assert longer == base and not longer[2].converged
-    assert longer == _one_row_calls(_wave, 5, 0.0, 1.0, tol=1e-10)
+    assert longer == _one_row_calls(_wave, 0.0, 1.0, [{}] * 5, tol=1e-10)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -159,23 +170,18 @@ def test_rows_match_one_row_calls_property(aw, c, log_tol, max_panel, cut, max_p
     def f(i, x):
         return amp[i] / (x - c) + np.cos(freq[i] * x)
 
-    kw = dict(tol=10.0 ** log_tol, max_panel=max_panel, breakpoints=(cut,),
-              max_panels=max_panels)
+    row_kw = [dict(max_panel=max_panel, breakpoints=(cut,))] * amp.size
+    kw = dict(tol=10.0 ** log_tol, max_panels=max_panels)
     try:
-        rows = _quad_rows(f, amp.size, 0.0, 1.0, **kw)
+        rows = _rows(f, 0.0, 1.0, row_kw, **kw)
     except QuadratureError:  # a Kronrod node landed on the pole
         with pytest.raises(QuadratureError):
-            _one_row_calls(f, amp.size, 0.0, 1.0, **kw)
+            _one_row_calls(f, 0.0, 1.0, row_kw, **kw)
         return
-    assert rows == _one_row_calls(f, amp.size, 0.0, 1.0, **kw)
+    assert rows == _one_row_calls(f, 0.0, 1.0, row_kw, **kw)
     for r in rows:
         assert r.panels_used <= max_panels
         assert r.converged == (r.abs_error_estimate <= kw["tol"])
-
-
-def _one_row_calls_cut_per_row(f, cuts, a, b, **kw):
-    return [adaptive_quad(lambda x: f(i, x), a, b, breakpoints=p, **kw)
-            for i, p in enumerate(cuts)]
 
 
 def test_rows_with_their_own_breakpoints_match_one_row_calls():
@@ -189,7 +195,8 @@ def test_rows_with_their_own_breakpoints_match_one_row_calls():
     cuts = [(), (5.0,), list(np.linspace(0.0, 10.0, 150)), (0.001, 0.002, 0.004),
             list(np.linspace(0.0, 10.0, 120)), list(np.linspace(0.001, 0.5, 250)), (), (7.0,)]
     cuts = cuts * 3
-    kw = dict(tol=1e-11, max_panel=0.1, max_panels=300)
+    row_kw = [dict(breakpoints=p, max_panel=0.1) for p in cuts]
+    kw = dict(tol=1e-11, max_panels=300)
 
     def first_cut(p, max_panels):  # at tol = inf the first cut is the last
         return adaptive_quad(np.cos, 0.0, 10.0, breakpoints=p, tol=math.inf, max_panel=0.1,
@@ -198,35 +205,37 @@ def test_rows_with_their_own_breakpoints_match_one_row_calls():
     nodes = [NODES.size * first_cut(p, 300) for p in cuts]
     assert max(nodes) < ROW_BLOCK_NODES < sum(nodes) and len(set(nodes)) == 5
     assert first_cut(cuts[5], 300) <= 300 < first_cut(cuts[5], quadrature.MAX_PANELS)
-    rows = _quad_rows(f, len(cuts), 0.0, 10.0, row_breakpoints=cuts, **kw)
-    assert rows == _one_row_calls_cut_per_row(f, cuts, 0.0, 10.0, **kw)
-    # shared breakpoints add to each row's own, and a reversed interval flips every row
-    shared = _quad_rows(f, len(cuts), 10.0, 0.0, breakpoints=(2.5,), row_breakpoints=cuts, **kw)
-    assert shared == _one_row_calls_cut_per_row(f, [[2.5, *p] for p in cuts], 10.0, 0.0, **kw)
+    rows = _rows(f, 0.0, 10.0, row_kw, **kw)
+    assert rows == _one_row_calls(f, 0.0, 10.0, row_kw, **kw)
+    # a breakpoint every row shares adds to each row's own, and one-row calls over the
+    # reversed interval give every row negated
+    shared = [dict(breakpoints=(2.5, *p), max_panel=0.1) for p in cuts]
+    flipped = [replace(r, value=-r.value) for r in _rows(f, 0.0, 10.0, shared, **kw)]
+    assert flipped == _one_row_calls(f, 10.0, 0.0, shared, **kw)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(0.0, 80.0),
-                          st.lists(st.floats(0.01, 0.99), max_size=30)), min_size=1, max_size=4),
-       st.floats(0.0, 1.0), st.floats(-13.0, -6.0), st.none() | st.floats(0.05, 1.0),
-       st.integers(20, 400))
-def test_rows_with_their_own_breakpoints_match_one_row_calls_property(awc, c, log_tol,
-                                                                      max_panel, max_panels):
-    # rows A_i/(x - c) + cos(W_i x), each cut first at its own breakpoints
-    amp, freq = np.array([(a, w) for a, w, _ in awc]).T
-    cuts = [p for _, _, p in awc]
+                          st.lists(st.floats(0.01, 0.99), max_size=30),
+                          st.none() | st.floats(0.05, 1.0)), min_size=1, max_size=4),
+       st.floats(0.0, 1.0), st.floats(-13.0, -6.0), st.integers(20, 400))
+def test_rows_with_their_own_breakpoints_match_one_row_calls_property(awcm, c, log_tol,
+                                                                      max_panels):
+    # rows A_i/(x - c) + cos(W_i x), each cut first at its own breakpoints and cap
+    amp, freq = np.array([(a, w) for a, w, _, _ in awcm]).T
+    row_kw = [dict(breakpoints=p, max_panel=m) for _, _, p, m in awcm]
 
     def f(i, x):
         return amp[i] / (x - c) + np.cos(freq[i] * x)
 
-    kw = dict(tol=10.0 ** log_tol, max_panel=max_panel, max_panels=max_panels)
+    kw = dict(tol=10.0 ** log_tol, max_panels=max_panels)
     try:
-        rows = _quad_rows(f, amp.size, 0.0, 1.0, row_breakpoints=cuts, **kw)
+        rows = _rows(f, 0.0, 1.0, row_kw, **kw)
     except QuadratureError:  # a Kronrod node landed on the pole
         with pytest.raises(QuadratureError):
-            _one_row_calls_cut_per_row(f, cuts, 0.0, 1.0, **kw)
+            _one_row_calls(f, 0.0, 1.0, row_kw, **kw)
         return
-    assert rows == _one_row_calls_cut_per_row(f, cuts, 0.0, 1.0, **kw)
+    assert rows == _one_row_calls(f, 0.0, 1.0, row_kw, **kw)
     for r in rows:
         assert r.panels_used <= max_panels
         assert r.converged == (r.abs_error_estimate <= kw["tol"])
@@ -257,11 +266,16 @@ def test_nan_max_panel_is_rejected():
                 == quadrature.anchored_primitive_values(np.cos, [1.0]))
 
 
-def test_rows_reversed_and_empty_interval():
-    rows = _quad_rows(_wave, 5, 1.0, 0.0, tol=1e-10)
-    assert rows == _one_row_calls(_wave, 5, 1.0, 0.0, tol=1e-10)
-    assert rows[1].value == -_quad_rows(_wave, 5, 0.0, 1.0, tol=1e-10)[1].value
-    assert _quad_rows(_wave, 3, 0.5, 0.5, tol=1e-10) == [QuadResult(0.0, 0.0, 1, True)] * 3
+def test_reversed_and_empty_interval():
+    # adaptive_quad orients the endpoints: reversed is the forward result negated, bit
+    # for bit, and a == b is an exact 0; rows take cuts, and no cut gives no row
+    for i in range(5):
+        forward = adaptive_quad(lambda x: _wave(i, x), 0.0, 1.0, tol=1e-10)
+        back = adaptive_quad(lambda x: _wave(i, x), 1.0, 0.0, tol=1e-10)
+        assert back == replace(forward, value=-forward.value)
+        assert back.value.hex() == (-forward.value).hex()
+        assert adaptive_quad(lambda x: _wave(i, x), 0.5, 0.5) == QuadResult(0.0, 0.0, 1, True)
+    assert _quad_rows(_wave, [], tol=1e-10) == []
 
 
 def test_rows_beyond_one_block():
@@ -269,8 +283,8 @@ def test_rows_beyond_one_block():
     rows = 23
     assert ROW_BLOCK_NODES // (NODES.size * 100) < rows // 2
     f = lambda i, x: np.cos((1.0 + 3.0 * i) * x) * np.exp(-0.1 * i * x)
-    kw = dict(tol=1e-11, max_panel=0.1)
-    assert _quad_rows(f, rows, 0.0, 10.0, **kw) == _one_row_calls(f, rows, 0.0, 10.0, **kw)
+    cut = [dict(max_panel=0.1)] * rows
+    assert _rows(f, 0.0, 10.0, cut, tol=1e-11) == _one_row_calls(f, 0.0, 10.0, cut, tol=1e-11)
 
 
 def _fubini_one_call_per_node(R, order):

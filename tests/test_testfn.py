@@ -259,14 +259,26 @@ def _probe_points(f):
     return np.concatenate([[0.0], pos, -pos])
 
 
-def test_difference_quotient_points_are_independent():
-    # each point is its own row of the bisection loop: alone it gives its entry of
-    # the array bit for bit, whatever the other points need (a matmul in the panel
-    # rule would not); on a plateau, in a 0.02-wide transition, next to a knot
+def _independence_inputs():
+    """(f, g, points, orders): probe points on a plateau, in a 0.02-wide transition and next
+    to a knot at orders 0..2, then 199 points across the switch at order 2 on narrow
+    transitions, where numpy's power once rounded t ** 2 with the batch size."""
     for f in (bump(-2.0, -1.0, 1.0, 2.0), bump(-0.01, 0.01, 1.0, 1.02), bump(0.0, 1.0, 2.0, 3.0)):
         g = difference_quotient(f)
         xs = np.concatenate([_probe_points(f), [0.999 * g.switch, -0.999 * g.switch]])
-        for order in range(3):
+        yield f, g, xs, range(3)
+    for f in (bump(-0.01, 0.01, 1.0, 1.02), bump(-1.0, -0.95, 0.95, 1.0).shifted(0.975),
+              bump(-0.00502, 0.00498, 1.0, 1.01)):
+        g = difference_quotient(f)
+        yield f, g, np.linspace(-0.99, 0.99, 199) * g.switch, [2]
+
+
+def test_difference_quotient_points_are_independent():
+    # each point is its own row of the bisection loop: alone it gives its entry of
+    # the array bit for bit, whatever the other points need (a matmul in the panel
+    # rule would not)
+    for f, g, xs, orders in _independence_inputs():
+        for order in orders:
             jet = g.jet(xs, order)
             for i, x in enumerate(xs):
                 alone = g.jet(np.array([x]), order)
