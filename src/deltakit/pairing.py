@@ -73,17 +73,17 @@ def pair_split(r, f):
 
     term1 pairs sin(r x) against the continuous difference quotient of f over
     the symmetric hull [-M, M] of its support; term2 = 2 f(0) Si(r M) / pi
-    carries the delta-defining part exactly (through si). term1 + term2
-    equals the direct pairing up to quadrature error.
+    carries the delta-defining part exactly (through si). term1 + term2 equals the
+    direct pairing up to quadrature error. An unconverged term1 raises QuadratureError.
     """
     r = require_positive(r, "r")
     M = max(abs(f.support.lo), abs(f.support.hi))
     g = difference_quotient(f)
     quad = adaptive_quad(lambda x: g(x) * np.sin(r * x), -M, M,
                          tol=PAIR_TOL, max_panel=half_period_cap(r))
-    term1 = quad.value / math.pi
-    term2 = 2.0 * float(f(0.0)) * si(r * M) / math.pi
-    return term1, term2
+    if not quad.converged:
+        raise QuadratureError(f"pair_split: the integral at r = {r:g} did not converge")
+    return quad.value / math.pi, 2.0 * float(f(0.0)) * si(r * M) / math.pi
 
 
 def pair_lorentz(eps, f, *, tol=1e-10):
@@ -115,13 +115,14 @@ def pair_lorentz_ladder(eps_list, f, *, tol=1e-10):
 def sine_decay_fit(g, interval, r_list):
     """Measure I(r) = integral of g(x) sin(r x) and fit its decay exponent.
 
-    g must have a jet (a TestFunction or DifferenceQuotient), which gives g'.
-    For continuously differentiable g the integration-by-parts constant
-    C = |g(hi)| + |g(lo)| + integral |g'| bounds |I(r)| by C/r; a violation
-    raises ArithmeticError (a numerical failure, not a property of g), and a
-    sample or the bound integral that does not converge QuadratureError. The
-    samples are the rows of one quadrature, each r's cut first into panels at
-    most half a period wide, so g is evaluated once a round for all of them.
+    g must have a jet (a TestFunction or DifferenceQuotient), which gives g'. For
+    continuously differentiable g the integration-by-parts constant
+    C = |g(hi)| + |g(lo)| + integral |g'| bounds |I(r)| by C/r; a violation raises
+    ArithmeticError (a numerical failure, not a property of g), and a sample or the
+    bound integral that does not converge QuadratureError. The samples are the rows
+    of one quadrature, each r's cut first into panels at most half a period wide, so
+    g is evaluated once a round for all of them; the bound integral is cut as the
+    largest r's row is, so it sees g' on the scale the samples see g.
     """
     iv = Interval.coerce(interval)
     rs = [require_positive(r, "r") for r in r_list]
@@ -138,7 +139,8 @@ def sine_decay_fit(g, interval, r_list):
             raise QuadratureError(f"sine_decay_fit: the integral at r = {r:g} did not converge")
         samples.append((r, res.value))
 
-    bound = adaptive_quad(lambda x: np.abs(derivative(g, x, 1)), iv.lo, iv.hi, tol=1e-8)
+    bound = adaptive_quad(lambda x: np.abs(derivative(g, x, 1)), iv.lo, iv.hi, tol=1e-8,
+                          max_panel=half_period_cap(rs[-1]))
     if not bound.converged:
         raise QuadratureError("sine_decay_fit: the bound integral of |g'| did not converge")
     bound_const = abs(float(g(iv.hi))) + abs(float(g(iv.lo))) + bound.value
@@ -150,17 +152,17 @@ def sine_decay_fit(g, interval, r_list):
 
     kept = [(r, abs(v)) for r, v in samples if v != 0.0]
     n_excluded = len(samples) - len(kept)
+    exponent = residual = math.nan
     if len(kept) >= 2:
-        lr = np.log([r for r, _ in kept])
-        lv = np.log([v for _, v in kept])
-        design = np.column_stack([np.ones_like(lr), lr])
-        coef, *_ = np.linalg.lstsq(design, lv, rcond=None)
-        residual = float(np.sqrt(np.mean((design @ coef - lv) ** 2)))
-        exponent = float(coef[1])
-    else:
-        exponent = math.nan
-        residual = math.nan
+        (_, exponent), residual, _ = _line_fit(*np.log(np.array(kept)).T)
     return RateFit(tuple(samples), exponent, residual, n_excluded)
+
+
+def _line_fit(x, y):
+    """Least-squares line y ~ c0 + c1 x: coefficients, rms residual and rank of [1, x]."""
+    design = np.column_stack([np.ones_like(x), x])
+    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    return coef.tolist(), float(np.sqrt(np.mean((design @ coef - y) ** 2))), rank
 
 
 def extrapolate_limit(samples, mode="inverse_param"):
@@ -192,8 +194,7 @@ def extrapolate_limit(samples, mode="inverse_param"):
     else:
         raise ValueError(f"unknown extrapolation mode {mode!r}")
 
-    design = np.column_stack([np.ones_like(regressor), regressor])
-    coef, _, rank, _ = np.linalg.lstsq(design, values, rcond=None)
+    coef, _, rank = _line_fit(regressor, values)
     if rank < 2:
         raise ValueError("singular fit matrix: regressors are degenerate")
-    return float(coef[0])
+    return coef[0]

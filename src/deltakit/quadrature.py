@@ -255,7 +255,7 @@ def _refine_rows(rule, cuts, tol, max_panels):
             break
         count = np.bincount(row, minlength=rows)
         room = np.where(total <= tol, 0, max_panels - count)
-        splittable = (hi - lo) > 16.0 * EPS * np.maximum(1.0, np.abs(lo) + np.abs(hi))
+        splittable = (hi - lo) > 16.0 * EPS * (np.abs(lo) + np.abs(hi))
         mask = (errs > tol / (2.0 * count[row])) & (room[row] > 0) & splittable
         if (np.bincount(row[mask], minlength=rows) > room).any():
             # a split adds one panel: a row near the cap splits only its worst

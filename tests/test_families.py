@@ -1,6 +1,7 @@
 """Closed-form families: values, parity, primitive consistency, uniform bounds."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -96,6 +97,34 @@ def test_lorentz_delta_broadcasts_an_array_of_widths():
     for bad in (0.0, -1e-3, math.nan):
         with pytest.raises(ValueError, match="eps must be a finite positive number"):
             lorentz_delta(np.array([0.1, bad, 0.2]), xs)
+
+
+def test_lorentz_delta_is_the_plain_form_at_every_normal_width():
+    # scaling by a power of two is exact: (eps/pi)/(x^2 + eps^2) bit for bit wherever
+    # that form's steps are normal floats, for a scalar eps and for a column of widths
+    xs = np.linspace(-4.5, 4.5, 20001)
+    widths = np.geomspace(0.7, 1e-150, 61)
+    for eps in widths.tolist():
+        plain = (eps / math.pi) / (xs * xs + eps * eps)
+        assert lorentz_delta(eps, xs).tobytes() == plain.tobytes()
+    col = widths[:, None]
+    assert lorentz_delta(col, xs).tobytes() == ((col / math.pi) / (xs * xs + col * col)).tobytes()
+
+
+def test_lorentz_delta_below_the_square_underflow():
+    # eps * eps underflows below eps ~ 1.5e-162; the scaled kernel keeps its peak
+    # 1/(pi eps), halves it at |x| = eps, reads 0 (not inf or NaN) far in the tails,
+    # and warns on no finite input
+    for eps in (1e-200, 1e-300):
+        assert lorentz_delta(eps, 0.0) == pytest.approx(1.0 / (math.pi * eps), rel=4e-16, abs=0)
+        assert lorentz_delta(eps, -eps) == pytest.approx(0.5 / (math.pi * eps), rel=4e-16, abs=0)
+    big = np.array([0.0, 5e-324, 1e-300, 1e-150, 1.0, 1e150, 1e300, np.finfo(float).max])
+    xs = np.concatenate([-big, big])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for eps in (1e-307, 1e-300, 1e-160, 1e-5, 1.0, 1e300):
+            out = lorentz_delta(eps, xs)
+            assert np.isfinite(out).all() and (out >= 0.0).all() and out[0] == out.max()
 
 
 def test_lorentz_delta_normalization():

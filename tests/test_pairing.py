@@ -132,6 +132,12 @@ def test_split_identity():
         assert abs((t1 + t2) - direct.value) <= 1e-8
 
 
+def test_split_raises_when_its_integral_does_not_converge():
+    # at r = 1e6 the integral of g(x) sin(r x) stops at MAX_PANELS, unconverged
+    with pytest.raises(QuadratureError, match=r"pair_split: the integral at r = 1e\+06 did not"):
+        pair_split(1e6, make_bump())
+
+
 def test_split_limits():
     f = make_bump()
     t1, t2 = pair_split(800.0, f)
@@ -212,6 +218,40 @@ def test_sine_decay_raises_when_an_integral_does_not_converge(monkeypatch):
         sine_decay_fit(g, (-2.0, 2.0), [10.0, 20.0])
 
 
+@pytest.mark.parametrize("f", [bump(-1.0, -0.95, 0.95, 1.0).shifted(0.975),
+                               bump(-0.01, 0.01, 1.0, 1.02)],
+                         ids=["narrow shifted bump", "narrow left transition"])
+def test_sine_decay_bound_integral_sees_narrow_transitions(monkeypatch, f):
+    # the bound integral starts from the largest r's half-period cut: as one uncut
+    # panel it missed the 0.05- and 0.02-wide transitions, read about 3e-38 and
+    # 2e-68, and the samples then raised ArithmeticError; integral |f'| is 2
+    bounds = []
+    real = pairing.adaptive_quad
+
+    def recorded(*args, **kwargs):
+        bounds.append(real(*args, **kwargs))
+        return bounds[-1]
+
+    monkeypatch.setattr(pairing, "adaptive_quad", recorded)
+    fit = sine_decay_fit(f, (f.support.lo, f.support.hi), [10.0, 100.0])
+    (bound,) = bounds
+    assert bound.converged and abs(bound.value - 2.0) <= 1e-8
+    assert all(abs(v) <= 2.0 / r for r, v in fit.samples)
+    assert math.isfinite(fit.fitted_exponent) and fit.n_excluded == 0
+
+
+def test_sine_decay_raises_when_its_samples_break_the_parts_bound():
+    # a jet that reports g' = 0 under values sin(10 x): the bound C/r holds only
+    # |g(1)| + |g(-1)| = 2 |sin 10|, and I(10) = 1 - sin(20)/20 exceeds C/10
+    def jet(x, order):
+        x = np.asarray(x, dtype=float)
+        return [np.sin(10.0 * x)] + [np.zeros(x.shape)] * order
+
+    with pytest.raises(ArithmeticError, match=r"\|I\(10.0\)\| = 9\.5..e-01 exceeds the "
+                                              r"integration-by-parts bound 1\.088e-01"):
+        sine_decay_fit(TestFunction((-1.0, 1.0), jet=jet), (-1.0, 1.0), [10.0, 20.0])
+
+
 def test_sine_decay_validation():
     with pytest.raises(ValueError):
         sine_decay_fit(lambda x: x, (-1.0, 1.0), [10.0])
@@ -234,6 +274,34 @@ def test_pair_lorentz_convergence():
     assert abs(res.value - 1.0) <= 5e-3
     far = bump(1.0, 1.25, 1.75, 2.0)
     assert abs(pair_lorentz(1e-3, far).value) <= 1e-2
+
+
+SMALL_WIDTH_BUMPS = [make_bump(), bump(-2.1, -1.2, 1.1, 1.9).shifted(0.3), make_bump().shifted(1.5)]
+
+
+@pytest.mark.parametrize("f", SMALL_WIDTH_BUMPS, ids=["default", "asymmetric", "shifted"])
+def test_lorentz_ladder_converges_at_small_widths(f):
+    # panels at 0 split down to any width (the splittable width is relative to the
+    # panel's abscissae), and the kernel, scaled to eps, does not underflow
+    rows = pair_lorentz_ladder([1e-15, 1e-20, 1e-100, 1e-150, 1e-200, 1e-300], f)
+    f0 = float(f(0.0))
+    assert all(r.converged and abs(r.value - f0) <= 1e-15 for r in rows)
+
+
+@pytest.mark.parametrize("f", SMALL_WIDTH_BUMPS, ids=["default", "asymmetric", "shifted"])
+def test_lorentz_widths_down_to_1e_307_converge_within_their_majorant(f):
+    # 100 log-uniform widths in [1e-307, 1e-1], one ladder: every row converges, no
+    # farther from f(0) than its tol plus lemma 5's majorant
+    # (S eps/pi) ln(1 + M^2/eps^2) + |2 atan(M/eps)/pi - 1| |f(0)|, its logarithm
+    # taken as 2 ln(M/eps) + log1p((eps/M)^2), which does not overflow
+    eps = np.sort(10.0 ** np.random.default_rng(1).uniform(-307.0, -1.0, 100))
+    f0 = float(f(0.0))
+    M = max(abs(f.support.lo), abs(f.support.hi))
+    S = float(np.max(np.abs(difference_quotient(f)(np.linspace(-M, M, 2001)))))
+    for e, res in zip(eps.tolist(), pair_lorentz_ladder(eps, f)):
+        ln = 2.0 * math.log(M / e) + math.log1p((e / M) ** 2)
+        majorant = S * e / math.pi * ln + abs(2.0 * math.atan(M / e) / math.pi - 1.0) * abs(f0)
+        assert res.converged and abs(res.value - f0) <= PAIR_TOL + majorant
 
 
 def test_pair_lorentz_majorant():

@@ -114,9 +114,8 @@ def test_finite_difference_noise_does_not_converge():
 
 
 # Row i integrates A[i]/x + cos(W[i] x). On [0, 1], rows 0 and 3 converge on
-# their first panel and rows 1 and 4 take several rounds; row 2's 1/x narrows
-# the panel at 0 until it cannot split, and with no other panel over its share
-# that row stops there, unconverged, before the last round.
+# their first panel and rows 1 and 4 take several rounds; row 2's 1/x halves
+# the panel at 0 every round and stops at the last round, unconverged.
 _A = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
 _W = np.array([1.0, 40.0, 0.0, 0.5, 90.0])
 
@@ -149,14 +148,23 @@ def test_rows_match_one_row_calls():
     assert _rows(_wave, 0.0, 1.0, cut, **kw) == _one_row_calls(_wave, 0.0, 1.0, cut, **kw)
 
 
+def _wave_near_one(i, x):
+    return _A[i] / (np.nextafter(1.0, 2.0) - x) + np.cos(_W[i] * x)
+
+
 def test_rows_stop_when_their_flagged_panels_are_too_narrow(monkeypatch):
-    # row 2's only panel over its share sits at 0 at rounding width: more
-    # rounds split nothing more
-    base = _rows(_wave, 0.0, 1.0, [{}] * 5, tol=1e-10)
+    # row 2's pole lies one ulp past 1, so its panels over their share narrow at 1
+    # to rounding width relative to 1: more rounds split nothing more. The pole
+    # of _wave sits at 0, where floats are dense, so there row 2 splits every round
+    base = _rows(_wave_near_one, 0.0, 1.0, [{}] * 5, tol=1e-10)
+    at_zero = _rows(_wave, 0.0, 1.0, [{}] * 5, tol=1e-10)
     monkeypatch.setattr(quadrature, "MAX_ROUNDS", quadrature.MAX_ROUNDS + 6)
-    longer = _rows(_wave, 0.0, 1.0, [{}] * 5, tol=1e-10)
+    longer = _rows(_wave_near_one, 0.0, 1.0, [{}] * 5, tol=1e-10)
     assert longer == base and not longer[2].converged
-    assert longer == _one_row_calls(_wave, 0.0, 1.0, [{}] * 5, tol=1e-10)
+    assert longer == _one_row_calls(_wave_near_one, 0.0, 1.0, [{}] * 5, tol=1e-10)
+    at_zero_longer = _rows(_wave, 0.0, 1.0, [{}] * 5, tol=1e-10)
+    assert not at_zero_longer[2].converged
+    assert at_zero_longer[2].panels_used > at_zero[2].panels_used
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -264,6 +272,16 @@ def test_nan_max_panel_is_rejected():
         assert adaptive_quad(np.cos, 0.0, 1.0, max_panel=cap) == adaptive_quad(np.cos, 0.0, 1.0)
         assert (quadrature.anchored_primitive_values(np.cos, [1.0], max_panel=cap)
                 == quadrature.anchored_primitive_values(np.cos, [1.0]))
+
+
+@pytest.mark.parametrize("end", [math.nan, math.inf, -math.inf])
+def test_non_finite_endpoints_are_rejected_before_evaluating(end):
+    def f(x):
+        raise AssertionError("f was evaluated")
+
+    for a, b in ((end, 1.0), (0.0, end)):
+        with pytest.raises(ValueError, match="endpoints must be finite"):
+            adaptive_quad(f, a, b)
 
 
 def test_reversed_and_empty_interval():
@@ -389,6 +407,17 @@ def test_lifting_rejects_a_non_finite_point_before_evaluating(bad):
             quadrature.anchored_primitive_values(f, [bad, 1.0])
         with pytest.raises(ValueError, match="finite"):
             quadrature.anchored_primitive_values(f, np.array([[0.5, 2.0], [bad, -1.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_lifting_names_a_non_finite_value_of_its_integrand(bad):
+    def f(x):
+        return np.where(x > 0.5, bad, np.cos(x))
+
+    with pytest.raises(QuadratureError, match="non-finite value") as exc:
+        quadrature.anchored_primitive_values(f, [-1.0, 2.0])
+    x = float(re.search(r"x=(?:np\.float64\()?([-+0-9.e]+)", str(exc.value)).group(1))
+    assert 0.5 < x < 2.0
 
 
 def test_lifting_samples_fewer_points_than_the_grid_holds():
