@@ -10,8 +10,9 @@ command line parses straight into a RunConfig.
 Exit codes: 0 all checks pass, 1 a tolerance/bound failed, 2 configuration
 error: a flag the subcommand does not take or that comes before it, a value
 its flag rejects (each number-list item a finite number; --interval lo < hi,
---grid an integer >= 2, --fig 1..9), --params values a certificate cannot run
-on or has no place for, and an --out path that cannot be written. Each
+--grid an integer >= 2, --fig 1..9; --shift not rounding the support to a point),
+--params values a certificate cannot run on (lemma6_*: an a whose majorant at
+n = 1 is not finite) or has no place for, and an unwritable --out path. Each
 message reads `deltakit <cmd>: error: unrecognized arguments: ...`,
 `... argument --flag: ...` or, for a certificate's own rejection,
 `... --params of <name>: ...`. Output is byte-for-byte deterministic for a
@@ -138,10 +139,13 @@ def _json_chunks(envelope, results):
     yield ("\n  ]" if sep else "]") + tail
 
 
-def cmd_pair(config):
+def cmd_pair(config, pair_parser):
     f = bump(*config.bump_knots)
     if config.shift:
-        f = f.shifted(config.shift)
+        try:
+            f = f.shifted(config.shift)
+        except ValueError as exc:  # the shifted support rounds to one point
+            pair_parser.error(f"argument --shift: {exc}")
     f0 = float(f(0.0))
     if config.family == "fourier":
         mode, results = "inverse_param", [pair_sinc(p, f) for p in config.params]
@@ -280,7 +284,7 @@ def main(argv=None):
         commands[args.command].error(f"unrecognized arguments: {' '.join(unknown)}")
     config = RunConfig(**vars(args))
     if config.command == "pair":
-        return cmd_pair(config)
+        return cmd_pair(config, commands["pair"])
     if config.command == "certify":
         return cmd_certify(config, commands["certify"])
     return cmd_figure(config)

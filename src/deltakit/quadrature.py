@@ -203,8 +203,6 @@ def _quad_rows(f, cuts, *, tol, max_panels=MAX_PANELS):
         row, _, _, vals, errs = _refine_rows(
             lambda r, lo, hi: _panel_rule(lambda x: f(first + r[:, None], x), lo, hi),
             cuts[first:stop], tol, max_panels)
-        order = row.argsort(kind="stable")  # math.fsum is exact in any order
-        vals, errs = vals[order], errs[order]
         end = 0
         for n in np.bincount(row, minlength=stop - first).tolist():
             start, end = end, end + n
@@ -235,11 +233,11 @@ def _refine_rows(rule, cuts, tol, max_panels):
     rule(row, lo, hi) gives each panel's value (a float, or a row of Chebyshev
     coefficients or jet values) and error estimate. Panels of all rows share
     flat arrays, laid out from the concatenated cuts by a fixed number of
-    array operations, not one per row; each round keeps the unsplit panels,
-    then appends the left and the right halves, so every row sees its panels
-    in the order a one-row loop has. A round splits the panels over their
+    array operations, not one per row. A round splits the panels over their
     row's share of tol that are wide enough to split, in rows over tol and
-    below max_panels; a row with no such panel stops there, unconverged.
+    below max_panels, each in place, and calls rule on the new halves only;
+    a row with no such panel stops there, unconverged. So each row's panels
+    stay contiguous, rows in order, and tile its interval from left to right.
     Returns row, lo, hi, values, errors.
     """
     rows = len(cuts)
@@ -259,22 +257,18 @@ def _refine_rows(rule, cuts, tol, max_panels):
         mask = (errs > tol / (2.0 * count[row])) & (room[row] > 0) & splittable
         if (np.bincount(row[mask], minlength=rows) > room).any():
             # a split adds one panel: a row near the cap splits only its worst
-            # panels, as many as it has room for (ties in panel order)
+            # panels, as many as it has room for (ties go to the leftmost)
             cand = mask.nonzero()[0][np.lexsort((-errs[mask], row[mask]))]
             rank = np.arange(cand.size) - row[cand].searchsorted(row[cand])
             mask[cand[rank >= room[row[cand]]]] = False
         if not mask.any():
             break
-        keep = ~mask
-        split_row, split_lo, split_hi = row[mask], lo[mask], hi[mask]
-        mid = 0.5 * (split_lo + split_hi)
-        row = np.concatenate([row[keep], split_row, split_row])
-        lo = np.concatenate([lo[keep], split_lo, mid])
-        hi = np.concatenate([hi[keep], mid, split_hi])
-        new = slice(-2 * split_row.size, None)
-        new_vals, new_errs = rule(row[new], lo[new], hi[new])
-        vals = np.concatenate([vals[keep], new_vals])
-        errs = np.concatenate([errs[keep], new_errs])
+        left = mask.nonzero()[0]
+        left += np.arange(left.size)  # each split panel's left half, once the halves are in place
+        new = np.concatenate([left, left + 1])
+        row, lo, hi, vals, errs = (v.repeat(mask + 1, axis=0) for v in (row, lo, hi, vals, errs))
+        hi[left] = lo[left + 1] = 0.5 * (lo[left] + hi[left])
+        vals[new], errs[new] = rule(row[new], lo[new], hi[new])
     return row, lo, hi, vals, errs
 
 
@@ -308,14 +302,12 @@ def anchored_primitive_values(f, xs, *, tol=1e-10, max_panel=None, levels=1):
         raise QuadratureError(f"lifting [{float(lo_end)!r}, {float(hi_end)!r}] at max_panel "
                               f"{max_panel!r} needs {n_sub.sum():.17g} panels, over {MAX_PANELS}")
     edges = _initial_edges(cuts, n_sub)
-    _, lo, hi, coef, errs = _refine_rows(lambda _, lo, hi: _lift_coefficients(f, lo, hi),
-                                         [edges], tol, MAX_PANELS)
+    _, lo, hi, series, errs = _refine_rows(lambda _, lo, hi: _lift_coefficients(f, lo, hi),
+                                           [edges], tol, MAX_PANELS)
     if errs.sum() > tol:
         i = errs.argmax()
         raise QuadratureError(f"lifting did not converge on [{float(lo[i])!r}, {float(hi[i])!r}]")
 
-    order = lo.argsort()
-    lo, hi, series = lo[order], hi[order], coef[order]
     half = (0.5 * (hi - lo))[:, None]
     anchor = lo.searchsorted(0.0)
     for _ in range(levels):

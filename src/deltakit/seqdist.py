@@ -356,16 +356,19 @@ def check_zero_off_origin(seq, a, n_max=100):
 
     Measures the sequence's declared seq.off_origin on |x| in
     [a, a + OFF_ORIGIN_REACH] for n = 1..n_max; OffOriginBound states how the
-    verdict follows. a must be finite and > 0, n_max an integer >= 1.
+    verdict follows. a must be > 0 with a finite bound at n = 1, n_max an integer >= 1.
     """
     a = require_positive(a, "a")
     n_max = require_count(n_max, "n_max")
     ns = np.arange(1, n_max + 1)
     off = seq.off_origin
+    with np.errstate(over="ignore", divide="ignore"):  # a large a: every bound is 0, as is its sup
+        bounds = None if off.bound is None else off.bound(ns, a)
+    if bounds is not None and not bounds[0] < math.inf:
+        raise ValueError(f"a must leave the bound at n = 1 finite, got {a!r}")
     sups = np.asarray(off.sup(ns, a, a + OFF_ORIGIN_REACH), dtype=float)
     ok, last_bound = True, 0.0
-    if off.bound is not None:
-        bounds = off.bound(ns, a)
+    if bounds is not None:
         ok, last_bound = bool(np.all(sups <= bounds + 1e-12)), float(bounds[-1])
     verdict = ok and sups[-1] <= max(OFF_ORIGIN_TOL, last_bound)
     return GridReport(interval=(a, a + OFF_ORIGIN_REACH), n_values=tuple(int(n) for n in ns),

@@ -322,7 +322,7 @@ class DifferenceQuotient(_JetFunction):
             raise ArithmeticError(f"the difference quotient of {f!r} at x = {x[total.argmax()]!r} "
                                   f"needs more than {MAX_QUOTIENT_PANELS} panels")
         g = np.full((x.size, order + 1), -0.0)  # -0.0 + v is v, bit for bit
-        np.add.at(g, row, vals)  # a row's panels in the order a one-row loop has them
+        np.add.at(g, row, vals)  # a row's panels from left to right
         return g.T
 
 

@@ -108,11 +108,16 @@ def test_pair_config_errors_exit_2(capsys):
         main(["pair", "--family", "fourier", "--params", "100,200,400",
               "--bump", "2,1,3,4"])
     assert exc.value.code == 2
-    # a tolerance that no error meets, and shifts that are not a translation
-    for flag, value in (("--tol", "nan"), ("--shift", "inf"), ("--shift", "nan")):
+    # a tolerance that no error meets, shifts that are not a translation, and one
+    # that rounds the bump's support [-2, 2] to the single point 1e17
+    for flag, value in (("--tol", "nan"), ("--shift", "inf"), ("--shift", "nan"),
+                        ("--shift", "1e17")):
+        capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
             main(["pair", "--family", "fourier", "--params", "100,200,400", flag, value])
         assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"argument {flag}:" in err
 
 
 def test_pair_non_monotone_params_exit_2():
@@ -136,8 +141,9 @@ def test_certify_pass(capsys):
 # each would otherwise pass vacuously or die in a traceback with exit 1
 BAD_CERTIFY_PARAMS = {
     "lemma4": ["0", "-5", "2.7", "nan", "50,7"],
-    "lemma6_lorentz": ["0", "100,0", "100,-0.5", "10,inf"],
-    "lemma6_theta": ["0", "-1", "100,0", "100,0.5,3"],
+    # an a whose majorant at n = 1 is not finite: 1/(pi a^2) or 2/(pi a) overflows
+    "lemma6_lorentz": ["0", "100,0", "100,-0.5", "10,inf", "1000,1e-200", "1000,1e-160"],
+    "lemma6_theta": ["0", "-1", "100,0", "100,0.5,3", "1000,1e-320"],
     "fubini": ["-1", "1,0,5"],
     "lemma5_rate": ["0", "1e-2,-1e-3"],
     # values a certificate has no place for would be dropped silently
@@ -170,6 +176,21 @@ def test_run_certificate_rejects_params_before_running():
         run_certificate("lemma4", 0)
     with pytest.raises(ValueError):
         run_certificate("lemma6_theta", 100, 0.0)
+
+
+def test_run_certificate_names_the_known_certificates():
+    with pytest.raises(KeyError, match="unknown certificate 'nope'; known: "
+                                       + ", ".join(certificate_names())):
+        run_certificate("nope")
+
+
+@pytest.mark.parametrize("name, params", [("lemma6_lorentz", "1000,1e200"),
+                                          ("lemma6_theta", "1000,1e305")])
+def test_lemma6_at_a_large_a_passes_quietly(capsys, name, params):
+    # the majorant underflows to 0 there, and so does every measured sup
+    code, out = run_cli(capsys, "certify", name, "--params", params)
+    assert code == 0 and capsys.readouterr().err == ""
+    assert "Infinity" not in out and json.loads(out)["verdict"] == "pass"
 
 
 @pytest.mark.parametrize("unconverged", ["x_first", "alpha_first"])
@@ -212,6 +233,20 @@ def test_lemma5_rate_fails_when_a_pairing_does_not_converge(monkeypatch, capsys)
     report = run_certificate("lemma5_rate")
     assert not report.passed
     assert report.summary == "pairing at eps = 0.001 did not converge"
+    code, out = run_cli(capsys, "certify", "lemma5_rate")
+    assert code == 1 and json.loads(out)["verdict"] == "fail"
+
+
+def test_lemma5_rate_fails_when_a_pairing_breaks_the_majorant(monkeypatch, capsys):
+    real = deltakit.certify.pair_lorentz_ladder
+
+    def pair_lorentz_ladder(eps_list, f, *, tol=1e-10):
+        return [dataclasses.replace(res, value=res.value + 0.1) if eps == 1e-3 else res
+                for eps, res in zip(eps_list, real(eps_list, f, tol=tol))]
+
+    monkeypatch.setattr(deltakit.certify, "pair_lorentz_ladder", pair_lorentz_ladder)
+    report = run_certificate("lemma5_rate")
+    assert not report.passed and report.summary == "majorant violated"
     code, out = run_cli(capsys, "certify", "lemma5_rate")
     assert code == 1 and json.loads(out)["verdict"] == "fail"
 
@@ -572,6 +607,8 @@ REJECTED = [
     (PAIR + ["--bump=-2,-1,1,inf"], "--bump"),
     (FIGURE + ["--interval=-5,nan"], "--interval"),
     (PAIR + ["--shift", "inf"], "--shift"),
+    (PAIR + ["--shift", "1e17"], "--shift"),
+    (["certify", "lemma6_lorentz", "--params", "1000,1e-200"], "--params"),
     (PAIR + ["--tol", "nan"], "--tol"),
     (["certify", "lemma4", "--grid", "7"], "--grid"),
     (["figure", "--fig", "8", "--tol", "1e-3"], "--tol"),

@@ -13,10 +13,10 @@ from numpy.testing import assert_allclose
 
 from _oracles import fd_derivative
 from deltakit import (FundamentalSeq, QuadResult, QuadratureError, adaptive_quad,
-                      bump, derivative, fubini_square, half_abs, lorentz_delta,
-                      lorentz_delta_n, lorentz_kink, lorentz_step, sinc_delta,
+                      bump, derivative, difference_quotient, fubini_square, half_abs,
+                      lorentz_delta, lorentz_delta_n, lorentz_kink, lorentz_step, sinc_delta,
                       sinc_kink, sinc_step)
-from deltakit import quadrature
+from deltakit import quadrature, testfn
 from deltakit.quadrature import NODES, ROW_BLOCK_NODES, _first_cut, _panel_rule, _quad_rows
 from deltakit.special import FUBINI_TOL
 
@@ -303,6 +303,33 @@ def test_rows_beyond_one_block():
     f = lambda i, x: np.cos((1.0 + 3.0 * i) * x) * np.exp(-0.1 * i * x)
     cut = [dict(max_panel=0.1)] * rows
     assert _rows(f, 0.0, 10.0, cut, tol=1e-11) == _one_row_calls(f, 0.0, 10.0, cut, tol=1e-11)
+
+
+def test_refined_panels_tile_each_row_from_left_to_right(monkeypatch):
+    # each flagged panel is split in place: a row's panels stay contiguous, rows in
+    # order, and each panel ends where the next one of its row starts
+    calls = []
+    real = quadrature._refine_rows
+
+    def refine_rows(rule, cuts, tol, max_panels):
+        calls.append((cuts, real(rule, cuts, tol, max_panels)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(quadrature, "_refine_rows", refine_rows)
+    monkeypatch.setattr(testfn, "_refine_rows", refine_rows)
+    peaks = lambda i, x: np.sin((5.0 + 20.0 * i) * x) / (1e-3 + (x - 0.37) ** 2)
+    assert all(r.converged for r in _rows(peaks, 0.0, 1.0, [{}] * 3, tol=1e-10))
+    quadrature.anchored_primitive_values(lambda x: lorentz_delta(1e-3, x), [-3.0, 0.5, 3.0])
+    g = difference_quotient(bump(-0.0045, -0.0005, 1.0, 2.0))  # f' is narrow near 0
+    g.jet(np.linspace(-0.99, 0.99, 9) * g.switch, 2)
+    assert [(len(cuts), row.size) for cuts, (row, *_) in calls] == [(3, 64), (1, 24), (9, 61)]
+    for cuts, (row, lo, hi, *_) in calls:
+        first = row.searchsorted(np.arange(len(cuts)))
+        assert (np.diff(row) >= 0).all() and (np.diff(first) > 0).all()
+        assert lo[first].tolist() == [c[0] for c in cuts]
+        assert hi[np.append(first[1:], row.size) - 1].tolist() == [c[-1] for c in cuts]
+        within = row[1:] == row[:-1]
+        assert (hi[:-1][within] == lo[1:][within]).all()
 
 
 def _fubini_one_call_per_node(R, order):

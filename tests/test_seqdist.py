@@ -253,6 +253,13 @@ def test_zero_off_origin_step_side():
     assert np.all(np.asarray(report.sup_errors) <= 2.0 / (math.pi * ns) + 1e-12)
 
 
+def test_zero_off_origin_at_a_large_a_is_quiet():
+    # 1/(pi n a^2) overflows its denominator: the bound is 0, met by sups of 0,
+    # with no RuntimeWarning (an error in this suite)
+    report = check_zero_off_origin(lorentz_delta_seq(), 1e200)
+    assert report.verdict and set(report.sup_errors) == {0.0}
+
+
 def test_zero_off_origin_ignores_label():
     # the label is only displayed; the declared bound picks the verdict
     renamed = lorentz_delta_seq()
@@ -266,6 +273,11 @@ def test_zero_off_origin_trivial_and_validation():
     for a in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             check_zero_off_origin(zero_seq(), a)
+    # an a whose bound at n = 1, 1/(pi a^2) or 2/(pi a), is not finite
+    for seq, a in ((lorentz_delta_seq(), 1e-200), (lorentz_delta_seq(), 1e-160),
+                   (sinc_step_seq(), 1e-320)):
+        with pytest.raises(ValueError, match="bound at n = 1 finite"):
+            check_zero_off_origin(seq, a)
     # a count below 1 has no last sup to judge, and a fractional n_max is not
     # rounded to some ladder the caller did not ask for
     for n_max in (0, -3, 2.5):

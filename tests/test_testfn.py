@@ -67,6 +67,9 @@ def test_interval_rejects_degenerate():
         Interval(1.0, 1.0)
     with pytest.raises(ValueError):
         Interval(2.0, -1.0)
+    for lo, hi in ((math.nan, 1.0), (0.0, math.nan), (-math.inf, 1.0), (0.0, math.inf)):
+        with pytest.raises(ValueError, match="interval endpoints must be finite"):
+            Interval(lo, hi)
 
 
 def test_bump_shape():
