@@ -18,9 +18,8 @@ import math
 import numpy as np
 
 from ._util import as_float_array, maybe_scalar, newton, require_positive
-from .quadrature import (MAX_PANELS, QuadResult, _chebyshev_antiderivative,
-                         _chebyshev_coefficients, _chebyshev_cosines, _clenshaw, _first_cut,
-                         _quad_rows, adaptive_quad, anchored_primitive_values)
+from .quadrature import (_chebyshev_antiderivative, _chebyshev_coefficients, _chebyshev_cosines,
+                         _clenshaw, adaptive_quad, anchored_primitive_values)
 
 __all__ = ["si", "si_half_pi_roots", "dirichlet_tail", "sinc_sq_integral", "fubini_square"]
 
@@ -43,11 +42,14 @@ _SI_DEGREE = 16
 SINC_SQ_TOL = 1e-12
 FUBINI_TOL = 1e-9
 
-# order -> (inner integrand f(outer node, inner variable), inner panel cap,
-# outer panel cap) for the integral of exp(-a*x)*sin(x) over [0,R]x[0,R].
+# order -> (inner integral f(R, outer node) of exp(-a*x)*sin(x) over the inner
+# variable's [0,R], in closed form, outer panel cap).
 _FUBINI_ORDERS = {
-    "x_first": (lambda a, x: np.exp(-a * x) * np.sin(x), math.pi, 0.5),
-    "alpha_first": (lambda x, a: np.exp(-a * x) * np.sin(x), 0.5, math.pi),
+    # over x at a: (1 - e^(-aR) (a sin R + cos R)) / (1 + a^2)
+    "x_first": (lambda R, a: (1.0 - np.exp(-a * R) * (a * math.sin(R) + math.cos(R)))
+                / (1.0 + a * a), 0.5),
+    # over a at x: sin(x) (1 - e^(-Rx)) / x, which is 0 at x = 0
+    "alpha_first": (lambda R, x: -np.expm1(-R * x) * sinc(x), math.pi),
 }
 
 
@@ -208,27 +210,18 @@ def fubini_square(R, order="x_first"):
     order selects which variable is integrated first ("x_first" or
     "alpha_first"); both orders must agree within their combined error
     estimates, and the value approaches pi/2 as R grows, with
-    |value - arctan(R)| <= 3(1 - exp(-R^2))/(2R). The inner integrals at the
-    nodes of one outer panel-rule call are refined as rows of one quadrature
-    call. converged holds only when the outer integral and every inner
-    integral met their tolerances.
+    |value - arctan(R)| <= 3(1 - exp(-R^2))/(2R). The inner integral is
+    elementary and taken in closed form, so one adaptive_quad integrates it
+    over the outer variable at tol FUBINI_TOL, cut first at the dyadic edges
+    2^k/R below min(1, R) that resolve its layer of width 1/R at 0.
     """
     R = require_positive(R, "R")
     if order not in _FUBINI_ORDERS:
         raise ValueError(f"order must be 'x_first' or 'alpha_first', got {order!r}")
-    inner, inner_cap, outer_cap = _FUBINI_ORDERS[order]
-    inner_tol = max(1e-14, FUBINI_TOL / (20.0 * R))
-    inner_converged = True
-    cut = _first_cut(0.0, R, (), inner_cap, MAX_PANELS)  # every inner integral's, built once
-
-    def outer_integrand(ts):
-        nonlocal inner_converged
-        nodes = ts.ravel()
-        rows = _quad_rows(lambda i, x: inner(nodes[i], x), [cut] * nodes.size, tol=inner_tol)
-        inner_converged = inner_converged and all(r.converged for r in rows)
-        return np.reshape([r.value for r in rows], ts.shape)
-
-    res = adaptive_quad(outer_integrand, 0.0, R, tol=0.5 * FUBINI_TOL, max_panel=outer_cap)
-    err = res.abs_error_estimate + R * inner_tol
-    return QuadResult(res.value, err, res.panels_used,
-                      res.converged and inner_converged and err <= FUBINI_TOL)
+    inner, outer_cap = _FUBINI_ORDERS[order]
+    layer, edge = [], 1.0 / R
+    while edge < min(1.0, R):
+        layer.append(edge)
+        edge *= 2.0
+    return adaptive_quad(lambda t: inner(R, t), 0.0, R, tol=FUBINI_TOL, max_panel=outer_cap,
+                         breakpoints=layer)

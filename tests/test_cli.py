@@ -207,6 +207,12 @@ def test_fubini_fails_when_an_order_does_not_converge(monkeypatch, capsys, uncon
     assert code == 1 and json.loads(out)["verdict"] == "fail"
 
 
+def test_fubini_passes_at_a_square_of_side_1e4(capsys):
+    # the outer integrals resolve the layer of width 1/R at 0, so the orders agree
+    code, out = run_cli(capsys, "certify", "fubini", "--params", "10000")
+    assert code == 0 and json.loads(out)["verdict"] == "pass"
+
+
 def test_pair_fails_when_a_pairing_does_not_converge(monkeypatch, capsys):
     real = deltakit.cli.pair_sinc
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.integrate import dblquad
 
 from _oracles import fd_derivative
 from deltakit import (FundamentalSeq, QuadResult, QuadratureError, adaptive_quad,
@@ -333,7 +334,8 @@ def test_refined_panels_tile_each_row_from_left_to_right(monkeypatch):
 
 
 def _fubini_one_call_per_node(R, order):
-    """fubini_square with one adaptive_quad per outer node."""
+    """The square of fubini_square nested: at each outer node, the inner integral
+    by an adaptive_quad of its own."""
     inner, inner_cap, outer_cap = {
         "x_first": (lambda a: lambda x: np.exp(-a * x) * np.sin(x), math.pi, 0.5),
         "alpha_first": (lambda x: lambda a: np.exp(-a * x) * np.sin(x), 0.5, math.pi),
@@ -355,11 +357,16 @@ def _fubini_one_call_per_node(R, order):
 
 
 @pytest.mark.parametrize("order", ["x_first", "alpha_first"])
-@pytest.mark.parametrize("R", [1.0, 22.3])
-def test_fubini_rows_match_one_call_per_node(R, order):
+@pytest.mark.parametrize("R", [1.0, 5.0, 22.3])
+def test_fubini_closed_inner_integral_matches_nested_quadrature(R, order):
     res = fubini_square(R, order)
-    assert res == _fubini_one_call_per_node(R, order)
-    assert res.converged
+    nested = _fubini_one_call_per_node(R, order)
+    assert res.converged and nested.converged
+    assert abs(res.value - nested.value) <= FUBINI_TOL
+    if R <= 10.0:
+        want, _ = dblquad(lambda x, a: math.exp(-a * x) * math.sin(x), 0.0, R, 0.0, R,
+                          epsabs=1e-13, epsrel=0.0)
+        assert abs(res.value - want) <= FUBINI_TOL
 
 
 def _open_tower(term, panel_hint=None):

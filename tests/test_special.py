@@ -1,6 +1,7 @@
 """Sine integral, Dirichlet tail, sinc^2 integral, and the double-integral check."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -148,6 +149,21 @@ def test_fubini_orders_agree():
 def test_fubini_tracks_arctan():
     res = fubini_square(10.0, "x_first")
     assert abs(res.value - math.atan(10.0)) <= 0.15
+
+
+def test_fubini_reports_a_square_past_its_panel_cap():
+    # at R = 1e6 the outer cut needs more than MAX_PANELS panels
+    for order in ("x_first", "alpha_first"):
+        assert not fubini_square(1e6, order).converged
+
+
+def test_fubini_is_quiet():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for order, (inner, _) in special._FUBINI_ORDERS.items():
+            for R in (1e-300, 1e-3, 1.0, 50.0, 1e3):
+                inner(R, np.array([0.0, 1e-300, 1e-8, 0.3, 5.0, 1e3]))
+                assert fubini_square(R, order).converged
 
 
 def test_fubini_validation():
