@@ -81,14 +81,26 @@ def test_critical_sup_raises_when_newton_leaves_its_cells_or_stalls(factor, matc
 
 
 def test_lemma4_sup_is_the_same_fraction_of_the_bound_for_every_n():
-    ns, sups, points = _kink_sups(1000)
+    ns, sups, every_n = _kink_sups(1000)
     assert np.all(np.round(sups * ns / (2.0 / math.pi), 5) == 0.67410)
     assert abs(sups[-1] - 4.291457e-4) <= 1e-9  # a 2M-point grid on [0, 5] reads 4.291456e-4
-    assert points == 1592  # the roots of Si = pi/2 below 5000
+    assert np.round(every_n["roots"], 5).tolist() == [1.92645, 4.89384]  # Si = pi/2 on (0, 5]
     details = run_certificate("lemma4", 1000).details
-    assert details["critical_points"] == points
+    assert details["critical_points"] == 2 and details["for_every_n"] == every_n
     assert details["samples"][-1] == {"n": 901, "sup_error": sups[900],
                                       "bound": 2.0 / (901 * math.pi) + 1e-9}
+
+
+@pytest.mark.parametrize("roots", [lambda r: r[1:], lambda r: r + 5.0],
+                         ids=["u1_missed", "roots_past_the_reach"])
+def test_lemma4_fails_when_the_argument_for_every_n_does_not_stand(monkeypatch, roots):
+    # without u_1 the largest |E| at the roots, 0.2609 at u_2, lies below the tail bound
+    # 0.4074, and so does |E| at every u past the reach: the argument has no S
+    real = certify.si_half_pi_roots
+    monkeypatch.setattr(certify, "si_half_pi_roots", lambda upper: roots(real(upper)))
+    cert = run_certificate("lemma4")
+    assert not cert.passed and not cert.details["for_every_n"]["premise"]
+    assert "for every n: fails" in cert.summary
 
 
 def test_lemma6_theta_wraps_the_off_origin_check():

@@ -1,4 +1,5 @@
-"""si, sinc's derivatives and fubini_square against mpmath at 20 to 40 digits.
+"""si, sinc's derivatives, the kink error E and fubini_square against mpmath at 20
+to 40 digits.
 
 Kept apart from test_special.py so that the rest of the si tests collect
 where mpmath is not installed; this module is skipped there.
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 from _si_grid import si_grid
 
-from deltakit import fubini_square, si
+from deltakit import fubini_square, si, sinc_kink
+from deltakit.certify import _kink_sups
 from deltakit.families import lorentz_delta_prime, sinc_delta_prime
 from deltakit.special import _FUBINI_ORDERS, sinc_prime
 
@@ -98,7 +100,6 @@ def _iv_si(x):
 
 
 def test_first_root_and_the_kink_sup_are_enclosed():
-    from deltakit.certify import _kink_sups
     from deltakit.special import si_half_pi_roots
 
     iv = mpmath.iv
@@ -117,6 +118,44 @@ def test_first_root_and_the_kink_sup_are_enclosed():
     # n = 1: the sup over [-5, 5] is |E(u_1)|; rounding stays uncovered
     sup = _kink_sups(1)[1][0]
     assert float(peak.a) - 1e-15 <= sup <= float(peak.b) + 1e-15
+
+
+def _mp_kink_error(u):
+    """E(u) = sinc_kink(1, u) - |u|/2 = (u/pi) Si(u) - (1 - cos u)/pi - u/2, for u > 0."""
+    return u / mpmath.pi * mpmath.si(u) - (1 - mpmath.cos(u)) / mpmath.pi - u / 2
+
+
+def test_kink_error_at_the_roots_on_0_to_5_matches_mpmath():
+    every_n = _kink_sups(1)[2]
+    with mpmath.workdps(30):
+        # mpmath's own roots of Si = pi/2, one per half-period below 5
+        roots = [mpmath.findroot(lambda u: mpmath.si(u) - mpmath.pi / 2, g) for g in (2, 4.9)]
+        want = [abs(float(_mp_kink_error(u))) for u in roots]
+    u = np.array(every_n["roots"])
+    assert np.max(np.abs(u - [float(r) for r in roots])) <= 1e-15
+    got = np.abs(sinc_kink(1.0, u) - 0.5 * u)
+    assert np.max(np.abs(got - want)) <= 1e-15, (got, want)
+    assert every_n["sup"] == got[0] and abs(every_n["sup"] - want[0]) <= 1e-15
+
+
+def test_kink_error_past_5_obeys_the_closed_tail():
+    # |E(u) + 1/pi| <= (1/u + 2/u^2)/pi, so |E| <= (1 + 1/5 + 2/25)/pi past 5: below |E(u_1)|
+    us = np.geomspace(5.0, 1e6, 400)
+    with mpmath.workdps(40):
+        gaps = [float(abs(_mp_kink_error(mpmath.mpf(u)) + 1 / mpmath.pi)) for u in us]
+    assert np.all(np.array(gaps) <= (1.0 / us + 2.0 / us**2) / math.pi)
+    every_n = _kink_sups(1)[2]
+    assert abs(every_n["tail_bound"] - 0.40744) <= 1e-5 and every_n["tail_bound"] < every_n["sup"]
+
+
+def test_a_constant_below_the_kink_sup_fails_the_verdict_for_every_n():
+    # S = |E(u_1)| = 0.4291457 (mpmath): a bound 0.42/n fails at u_1 ~ 1.9264, 2/(pi n) holds
+    with mpmath.workdps(30):
+        u1 = mpmath.findroot(lambda u: mpmath.si(u) - mpmath.pi / 2, 2)
+        assert 0.42 < abs(_mp_kink_error(u1)) < 2 / mpmath.pi
+    low = _kink_sups(1, constant=0.42)[2]
+    assert low["premise"] and not low["holds"] and abs(low["argmax"] - 1.9264) < 1e-4
+    assert _kink_sups(1)[2]["holds"]
 
 
 def _mp_inner(order, R, t):
