@@ -33,33 +33,33 @@ class CertReport:
     details: dict = field(default_factory=dict)
 
 
-def _kink_sups(n_max, reach=5.0, constant=2.0 / math.pi):
+def _kink_sups(n_max, reach=5.0):
     """n = 1..n_max, sup over |x| <= reach of |sinc_kink(n, x) - |x|/2|, and the argument
-    that it is S/n for every n >= 1, with whether S <= constant.
+    that it is S/n for every n >= 1.
 
     The error is E(n x)/n with E(u) = sinc_kink(1, u) - |u|/2, even, and E' = Si/pi - 1/2
     on u > 0: on (0, reach] the critical points of E are the roots of Si = pi/2. For every
     u > 0, |E(u) + 1/pi| <= (1/u + 2/u^2)/pi, from 0 < 1 - u f(u) <= 2/u^2 and
     0 < u g(u) <= 1/u (Si's auxiliary functions, A&S 5.2). So if the largest |E| at the
-    roots tops that tail at reach, it is S = sup over u >= 0 of |E|, taken at a root below
-    reach <= reach n (a root past reach cannot top the tail). |E| is computed to within
-    `rounding`: si's 2e-15 (its mpmath test) times u/pi <= 1.6, plus the rounding of E's
-    three terms, each below 3."""
+    roots tops that tail at reach (the premise), it is S = sup over u >= 0 of |E|, taken at
+    a root below reach <= reach n (a root past reach cannot top the tail). |E| is computed
+    to within `rounding`: si's 2e-15 (its mpmath test) times u/pi <= 1.6, plus the rounding
+    of E's three terms, each below 3."""
     roots = si_half_pi_roots(reach)
     peaks = np.abs(sinc_kink(1.0, roots) - half_abs(roots))
     k = int(np.argmax(peaks))  # raises on no root: reach < 1.9264
     S, tail, rounding = peaks[k], (1.0 + 1.0 / reach + 2.0 / reach**2) / math.pi, 1e-14
-    premise = bool(S - rounding > tail)
     ns = np.arange(1, n_max + 1)
-    return ns, S / ns, {"holds": premise and bool(S + rounding <= constant),
-                        "premise": premise, "roots": roots.tolist(), "argmax": float(roots[k]),
-                        "sup": float(S), "constant": constant, "reach": reach,
+    return ns, S / ns, {"premise": bool(S - rounding > tail), "roots": roots.tolist(),
+                        "argmax": float(roots[k]), "sup": float(S), "reach": reach,
                         "tail_bound": tail, "rounding": rounding}
 
 
 def _kink_uniform_bound(n_max=200):
     """Smoothed kink vs |x|/2: sup error (exact, see _kink_sups) <= 2/(n pi) + slack, for
-    n <= n_max and, by _kink_sups' argument, for every n; the cost does not grow with n_max."""
+    n <= n_max and, by _kink_sups' argument, for every n; the cost does not grow with n_max.
+    The sup is S/n, so the n = 1 margin is the strictest: with the premise, passing at
+    n = 1 passes at every n."""
     n_max = require_count(n_max, "n_max")
     interval, slack = (-5.0, 5.0), 1e-9
     ns, sups, every_n = _kink_sups(n_max, interval[1])
@@ -67,11 +67,11 @@ def _kink_uniform_bound(n_max=200):
     worst_margin = float(np.max(sups - bounds))
     step = max(1, n_max // 10)
     summary = f"max over n<={n_max} of (sup error - bound) = {worst_margin:.3e}"
-    if not every_n["holds"]:  # its "premise" says whether the constant or the tail failed
-        summary += (f"; for every n: fails at u = {every_n['argmax']:.5g}, "
-                    f"S = {every_n['sup']:.7g}")
+    if not every_n["premise"]:
+        summary += (f"; for every n: no argument, max |E| at the roots "
+                    f"{every_n['sup']:.7g} does not top the tail {every_n['tail_bound']:.7g}")
     return CertReport(
-        "lemma4", worst_margin <= 0.0 and every_n["holds"], summary,
+        "lemma4", worst_margin <= 0.0 and every_n["premise"], summary,
         {"n_max": n_max, "interval": list(interval), "critical_points": len(every_n["roots"]),
          "worst_margin": worst_margin, "for_every_n": every_n,
          "samples": [{"n": int(n), "sup_error": float(s), "bound": float(b)}

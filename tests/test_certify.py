@@ -100,7 +100,7 @@ def test_lemma4_fails_when_the_argument_for_every_n_does_not_stand(monkeypatch, 
     monkeypatch.setattr(certify, "si_half_pi_roots", lambda upper: roots(real(upper)))
     cert = run_certificate("lemma4")
     assert not cert.passed and not cert.details["for_every_n"]["premise"]
-    assert "for every n: fails" in cert.summary
+    assert "for every n: no argument" in cert.summary
 
 
 def test_lemma6_theta_wraps_the_off_origin_check():

@@ -214,19 +214,24 @@ def test_fubini_passes_at_a_square_of_side_1e4(capsys):
     assert code == 0 and json.loads(out)["verdict"] == "pass"
 
 
-def test_lemma4_at_a_million_costs_no_root_sweep(capsys):
-    # the sups are S/n from the two roots on (0, 5]: no si call per n; the root sweep to
-    # 5e6 took 1.4 s CPU, and its worst margin is the one printed here, bit for bit
+def test_lemma4_at_a_million_costs_no_root_sweep(monkeypatch, capsys):
+    # the sups are S/n from the two roots on (0, 5]: one root search, no si call per n; the
+    # root sweep to 5e6 took 1.4 s CPU, and its worst margin is the one printed here, bit
+    # for bit
+    real, uppers = deltakit.certify.si_half_pi_roots, []
+    monkeypatch.setattr(deltakit.certify, "si_half_pi_roots",
+                        lambda upper: uppers.append(upper) or real(upper))
     argv = ("certify", "lemma4", "--params", "1000000")
     cpu = []
     for _ in range(3):  # the fastest of three: a shared machine adds time, never removes it
         start = time.process_time()
         code, out = run_cli(capsys, *argv)
         cpu.append(time.process_time() - start)
+    assert uppers == [5.0] * 3
     assert code == 0 and min(cpu) < 0.05, cpu
     details = json.loads(out)["results"][0]["details"]
     assert details["worst_margin"] == -2.0847406166813797e-07
-    assert details["for_every_n"]["holds"]
+    assert details["for_every_n"]["premise"]
 
 
 def test_pair_fails_when_a_pairing_does_not_converge(monkeypatch, capsys):

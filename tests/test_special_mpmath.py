@@ -149,13 +149,14 @@ def test_kink_error_past_5_obeys_the_closed_tail():
 
 
 def test_a_constant_below_the_kink_sup_fails_the_verdict_for_every_n():
-    # S = |E(u_1)| = 0.4291457 (mpmath): a bound 0.42/n fails at u_1 ~ 1.9264, 2/(pi n) holds
+    # S = |E(u_1)| = 0.4291457 (mpmath): a bound 0.42/n fails at u_1 ~ 1.9264 for every n,
+    # since the sup at n is S/n; 2/(pi n) holds
+    every_n = _kink_sups(1)[2]
     with mpmath.workdps(30):
         u1 = mpmath.findroot(lambda u: mpmath.si(u) - mpmath.pi / 2, 2)
         assert 0.42 < abs(_mp_kink_error(u1)) < 2 / mpmath.pi
-    low = _kink_sups(1, constant=0.42)[2]
-    assert low["premise"] and not low["holds"] and abs(low["argmax"] - 1.9264) < 1e-4
-    assert _kink_sups(1)[2]["holds"]
+    assert every_n["premise"] and abs(every_n["argmax"] - 1.9264) < 1e-4
+    assert 0.42 < every_n["sup"] <= 2 / math.pi
 
 
 def _mp_inner(order, R, t):
