@@ -129,22 +129,19 @@ def _lorentz_rate_majorant(*eps):
 def _zero_off_origin_lorentz(n_max=1000, a=0.5):
     """sup_{|x|>=a} of the Lorentz terms <= 1/(pi n a^2); at a=0.5 that is 4/(pi n)."""
     n_max, a = require_count(n_max, "n_max"), require_positive(a, "a")
-    report = check_zero_off_origin(seq := lorentz_delta_seq(), a, n_max=n_max)
+    report = check_zero_off_origin(lorentz_delta_seq(), a, n_max=n_max)
     return CertReport("lemma6_lorentz", report.verdict,
                       f"sup_(|x|>={a}) |kernel_n| <= 1/(pi n a^2) for n <= {n_max}: "
                       f"{report.verdict}",
                       {"a": a, "n_max": n_max, "last_sup": report.sup_errors[-1],
-                       "last_bound": seq.off_origin.bound(n_max, a)})
+                       "last_bound": report.bounds[-1]})
 
 
 def _zero_off_origin_step(n_max=1000, a=1.0):
     """|step_n(x) - sign(x)/2| <= 2/(pi n a) for |x| >= a."""
     n_max, a = require_count(n_max, "n_max"), require_positive(a, "a")
-    seq = sinc_step_seq()
-    report = check_zero_off_origin(seq, a, n_max=n_max)
-    with np.errstate(over="ignore"):  # a large a: every bound is 0, as is its sup
-        bounds = seq.off_origin.bound(np.asarray(report.n_values), a)
-    worst = float(np.max(np.asarray(report.sup_errors) - bounds))
+    report = check_zero_off_origin(sinc_step_seq(), a, n_max=n_max)
+    worst = float(np.max(np.subtract(report.sup_errors, report.bounds)))
     return CertReport("lemma6_theta", report.verdict,
                       f"max over n<={n_max} of (sup step error - 2/(pi n a)) = {worst:.3e}",
                       {"a": a, "n_max": n_max, "worst_margin": worst})

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -57,6 +57,10 @@ PARTS_LADDER = (100, 200, 400, 800)
 
 @dataclass(frozen=True)
 class GridReport:
+    """A check's interval, n_values (1..n_max), per-n sup_errors, verdict, bound_used (what
+    was measured), tol, cauchy_tail (check_fundamental's) and bounds, the per-n majorant
+    check_zero_off_origin held the sups to (None without one; not in the repr)."""
+
     interval: tuple
     n_values: tuple
     sup_errors: tuple
@@ -64,6 +68,7 @@ class GridReport:
     bound_used: str
     tol: float | None = None
     cauchy_tail: tuple | None = None
+    bounds: tuple | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -277,9 +282,9 @@ def check_fundamental(seq, interval=(-5.0, 5.0), n_max=50, tol=1e-2, *, order=No
         verdict = bool(cauchy_ok and decreasing)
 
     return GridReport(interval=(iv.lo, iv.hi), n_values=tuple(range(1, n_max + 1)),
-                      sup_errors=tuple(float(e) for e in sup_errors),
+                      sup_errors=tuple(sup_errors.tolist()),
                       verdict=verdict, bound_used=bound_used, tol=float(tol),
-                      cauchy_tail=tuple(float(c) for c in cauchy))
+                      cauchy_tail=tuple(cauchy.tolist()))
 
 
 def check_equivalent(a, b, interval=(-5.0, 5.0), n_max=50, tol=1e-2):
@@ -297,8 +302,8 @@ def check_equivalent(a, b, interval=(-5.0, 5.0), n_max=50, tol=1e-2):
     sup_diffs = np.array([np.max(np.abs(level_k(a, n) - level_k(b, n))) for n in ns])
     decreasing = sup_diffs[-1] <= sup_diffs[0] or sup_diffs[0] <= tol
     verdict = bool(sup_diffs[-1] <= tol and decreasing)
-    return GridReport(interval=(iv.lo, iv.hi), n_values=tuple(int(n) for n in ns),
-                      sup_errors=tuple(float(d) for d in sup_diffs), verdict=verdict,
+    return GridReport(interval=(iv.lo, iv.hi), n_values=tuple(range(1, n_max + 1)),
+                      sup_errors=tuple(sup_diffs.tolist()), verdict=verdict,
                       bound_used=f"sup |primitive_{k}(a) - primitive_{k}(b)| on grid",
                       tol=float(tol))
 
@@ -367,10 +372,8 @@ def check_zero_off_origin(seq, a, n_max=100):
     if bounds is not None and not bounds[0] < math.inf:
         raise ValueError(f"a must leave the bound at n = 1 finite, got {a!r}")
     sups = np.asarray(off.sup(ns, a, a + OFF_ORIGIN_REACH), dtype=float)
-    ok, last_bound = True, 0.0
-    if bounds is not None:
-        ok, last_bound = bool(np.all(sups <= bounds + 1e-12)), float(bounds[-1])
-    verdict = ok and sups[-1] <= max(OFF_ORIGIN_TOL, last_bound)
-    return GridReport(interval=(a, a + OFF_ORIGIN_REACH), n_values=tuple(int(n) for n in ns),
-                      sup_errors=tuple(float(s) for s in sups),
-                      verdict=bool(verdict), bound_used=off.text, tol=OFF_ORIGIN_TOL)
+    held = bounds is None or bool(np.all(sups <= bounds + 1e-12))
+    verdict = held and sups[-1] <= max(OFF_ORIGIN_TOL, 0.0 if bounds is None else bounds[-1])
+    return GridReport(interval=(a, a + OFF_ORIGIN_REACH), n_values=tuple(range(1, n_max + 1)),
+                      sup_errors=tuple(sups.tolist()), verdict=bool(verdict), bound_used=off.text,
+                      tol=OFF_ORIGIN_TOL, bounds=None if bounds is None else tuple(bounds.tolist()))

@@ -210,18 +210,18 @@ def fubini_square(R, order="x_first"):
     order selects which variable is integrated first ("x_first" or
     "alpha_first"); both orders must agree within their combined error
     estimates, and the value approaches pi/2 as R grows, with
-    |value - arctan(R)| <= 3(1 - exp(-R^2))/(2R). The inner integral is
-    elementary and taken in closed form, so one adaptive_quad integrates it
-    over the outer variable at tol FUBINI_TOL, cut first at the dyadic edges
-    2^k/R below min(1, R) that resolve its layer of width 1/R at 0.
+    |value - arctan(R)| <= 3(1 - exp(-R^2))/(2R). The inner integral is elementary and
+    taken in closed form, so one adaptive_quad integrates it over the outer variable at
+    tol FUBINI_TOL, cut first at the dyadic edges 2^k/R below R: those below 1 resolve
+    its layer of width 1/R at 0, those past 1 keep its tail off one wide panel.
     """
     R = require_positive(R, "R")
     if order not in _FUBINI_ORDERS:
         raise ValueError(f"order must be 'x_first' or 'alpha_first', got {order!r}")
     inner, outer_cap = _FUBINI_ORDERS[order]
-    layer, edge = [], 1.0 / R
-    while edge < min(1.0, R):
-        layer.append(edge)
+    edges, edge = [], 1.0 / R
+    while edge < R:
+        edges.append(edge)
         edge *= 2.0
     return adaptive_quad(lambda t: inner(R, t), 0.0, R, tol=FUBINI_TOL, max_panel=outer_cap,
-                         breakpoints=layer)
+                         breakpoints=edges)

@@ -7,6 +7,7 @@ must lie between the old 2001-point grid sup and a fine grid's sup plus
 M2 h^2 / 8; 1e-15 covers the rounding of the two evaluations.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -128,8 +129,35 @@ def test_lorentz_off_origin_bound_is_the_closed_majorant(a):
     ns = np.arange(1, 5201)
     bounds = np.asarray(off.bound(ns, a))
     assert bounds.tobytes() == (1.0 / (math.pi * ns * a * a)).tobytes()
-    sups = np.asarray(check_zero_off_origin(lorentz_delta_seq(), a, n_max=5200).sup_errors)
-    assert np.all(sups < bounds)
+    report = check_zero_off_origin(lorentz_delta_seq(), a, n_max=5200)
+    assert np.asarray(report.bounds).tobytes() == bounds.tobytes()
+    assert np.all(np.asarray(report.sup_errors) < bounds)
+
+
+@pytest.mark.parametrize("a", [0.3, 1.0, 2.5])
+def test_step_report_carries_the_dirichlet_tail_bound_bit_for_bit(a):
+    ns = np.arange(1, 1901)
+    report = check_zero_off_origin(sinc_step_seq(), a, n_max=1900)
+    assert np.asarray(report.bounds).tobytes() == sinc_step_seq().off_origin.bound(ns, a).tobytes()
+
+
+@pytest.mark.parametrize("name, factory", [("lemma6_lorentz", "lorentz_delta_seq"),
+                                           ("lemma6_theta", "sinc_step_seq")])
+def test_lemma6_evaluates_its_majorant_once(monkeypatch, name, factory):
+    # the certificate reads the bounds off check_zero_off_origin's report
+    calls = []
+    real = getattr(certify, factory)
+
+    def counted():
+        seq = real()
+        bound = seq.off_origin.bound
+        seq.off_origin = dataclasses.replace(
+            seq.off_origin, bound=lambda ns, a: calls.append(a) or bound(ns, a))
+        return seq
+
+    monkeypatch.setattr(certify, factory, counted)
+    cert = run_certificate(name, 300, 0.7)
+    assert cert.passed and calls == [0.7]
 
 
 def test_lemma6_lorentz_reports_the_majorant_at_n_max():

@@ -56,9 +56,16 @@ def test_check_fundamental_damped_cos():
 def test_grid_reports_hold_python_floats():
     reports = (check_fundamental(damped_cos_seq(), (-1.0, 1.0), n_max=5),
                check_equivalent(sinc_delta_seq(), lorentz_delta_seq(), (-1.0, 1.0), n_max=5),
+               check_zero_off_origin(zero_seq(), 0.5, n_max=5),
                check_zero_off_origin(lorentz_delta_seq(), 0.5, n_max=5))
     for report in reports:
         assert all(type(x) is float for x in report.sup_errors), report.bound_used
+        assert report.n_values == (1, 2, 3, 4, 5), report.bound_used
+        assert all(type(n) is int for n in report.n_values), report.bound_used
+    assert all(type(c) is float for c in reports[0].cauchy_tail)
+    # only a check held to a declared majorant carries one, per n
+    assert [report.bounds is None for report in reports] == [True, True, True, False]
+    assert len(reports[3].bounds) == 5 and all(type(b) is float for b in reports[3].bounds)
 
 
 def test_check_fundamental_fails_at_step_level():

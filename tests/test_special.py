@@ -152,9 +152,20 @@ def test_fubini_tracks_arctan():
 
 
 def test_fubini_reports_a_square_past_its_panel_cap():
-    # at R = 1e6 the outer cut needs more than MAX_PANELS panels
-    for order in ("x_first", "alpha_first"):
-        assert not fubini_square(1e6, order).converged
+    # at R = 1e6 the alpha-first outer cut needs more than MAX_PANELS panels; the
+    # x-first one, whose dyadic edges run on to R, converges to mpmath's value
+    # (Si(R) minus the layer integral at 30 digits, as in test_special_mpmath.py)
+    res = fubini_square(1e6, "x_first")
+    assert res.converged and abs(res.value - 1.57079439004311908) <= special.FUBINI_TOL
+    assert not fubini_square(1e6, "alpha_first").converged
+
+
+@pytest.mark.parametrize("R", [1e20, 1e300])
+def test_fubini_x_first_keeps_the_tail_at_a_huge_square(R):
+    # without edges past 1 the first cut's panels there widen to ~5e14 at R = 1e20, and
+    # one that misses the 1/(1 + a^2) tail at its left end reads ~0 in K15 and G7 alike
+    res = fubini_square(R, "x_first")
+    assert res.converged and abs(res.value - math.atan(R)) <= 1e-9
 
 
 def test_fubini_is_quiet():
