@@ -10,7 +10,8 @@ command line parses straight into a RunConfig.
 Exit codes: 0 all checks pass, 1 a tolerance/bound failed, 2 configuration
 error: a flag the subcommand does not take or that comes before it, a value
 its flag rejects (each number-list item a finite number; --interval lo < hi,
---grid an integer >= 2, --fig 1..9; --shift not rounding the support to a point),
+--grid an integer >= 2, --fig 1..9; --shift not rounding the support to a point;
+pair --params whose kernel overflows: 2/(pi eps) or r M not finite),
 --params values a certificate cannot run on (lemma6_*: an a whose majorant at
 n = 1 is not finite) or has no place for, and an unwritable --out path. Each
 message reads `deltakit <cmd>: error: unrecognized arguments: ...`,
@@ -147,10 +148,13 @@ def cmd_pair(config, pair_parser):
         except ValueError as exc:  # the shifted support rounds to one point
             pair_parser.error(f"argument --shift: {exc}")
     f0 = float(f(0.0))
-    if config.family == "fourier":
-        mode, results = "inverse_param", [pair_sinc(p, f) for p in config.params]
-    else:  # the whole ladder is one quadrature
-        mode, results = "log_corrected", pair_lorentz_ladder(config.params, f)
+    try:
+        if config.family == "fourier":
+            mode, results = "inverse_param", [pair_sinc(p, f) for p in config.params]
+        else:  # the whole ladder is one quadrature
+            mode, results = "log_corrected", pair_lorentz_ladder(config.params, f)
+    except ValueError as exc:  # a kernel that overflows
+        pair_parser.error(f"argument --params: {exc}")
     runs = list(zip(config.params, results))
     try:
         limit = extrapolate_limit([(p, res.value) for p, res in runs], mode=mode)

@@ -63,8 +63,11 @@ def pair(phi, f, *, tol=1e-10, max_panel=None, breakpoints=()):
 
 
 def pair_sinc(r, f):
-    """Pair the truncated-spectrum kernel against f, panels <= pi/r wide."""
+    """Pair the truncated-spectrum kernel against f, panels <= pi/r wide; raises ValueError
+    first where r M, with M the reach of f's support, overflows."""
     r = require_positive(r, "r")
+    if not math.isfinite(r * max(abs(f.support.lo), abs(f.support.hi))):
+        raise ValueError(f"r = {r:g}: the kernel's nodes r x overflow on f's support")
     return pair(lambda x: sinc_delta(r, x), f, tol=PAIR_TOL, max_panel=half_period_cap(r))
 
 
@@ -98,9 +101,12 @@ def pair_lorentz_ladder(eps_list, f, *, tol=1e-10):
     quadrature over f's support, so f is evaluated once a round for all of
     them. Each row is cut first at 0 and at the dyadic edges +-eps 2^k inside
     the support, into panels at most 0.5 wide, and is refined as its own
-    adaptive_quad call would refine it.
+    adaptive_quad call would refine it. A width whose panel sum of the peak,
+    2/(pi eps), overflows raises ValueError before any quadrature.
     """
     eps = require_positive(np.asarray(eps_list, dtype=float), "eps")
+    if not all(math.isfinite(2.0 / (math.pi * e)) for e in eps.tolist()):
+        raise ValueError(f"eps = {eps.min():g}: the kernel's panel sum 2/(pi eps) overflows")
     reach = max(abs(f.support.lo), abs(f.support.hi))
     cuts = []
     for scale in eps.tolist():

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -41,17 +42,6 @@ _SI_DEGREE = 16
 # Absolute tolerances of sinc_sq_integral and of fubini_square.
 SINC_SQ_TOL = 1e-12
 FUBINI_TOL = 1e-9
-
-# order -> (inner integral f(R, outer node) of exp(-a*x)*sin(x) over the inner
-# variable's [0,R], in closed form, outer panel cap).
-_FUBINI_ORDERS = {
-    # over x at a: (1 - e^(-aR) (a sin R + cos R)) / (1 + a^2)
-    "x_first": (lambda R, a: (1.0 - np.exp(-a * R) * (a * math.sin(R) + math.cos(R)))
-                / (1.0 + a * a), 0.5),
-    # over a at x: sin(x) (1 - e^(-Rx)) / x, which is 0 at x = 0
-    "alpha_first": (lambda R, x: -np.expm1(-R * x) * sinc(x), math.pi),
-}
-
 
 def sinc(t):
     """sin(t)/t with a 4-term Taylor series near the removable singularity."""
@@ -204,24 +194,36 @@ def sinc_sq_integral(a, b):
     return maybe_scalar(ends - heads[0], scalar)
 
 
+# order -> (the outer integral over [0, R] of the inner integral's 1 term, in closed form;
+# the e^(-Rt) layer that the inner integral subtracts from it, at the outer node t)
+_FUBINI_ORDERS = {
+    # over x at a: (1 - e^(-aR) (a sin R + cos R)) / (1 + a^2), whose 1 term gives arctan R
+    "x_first": (math.atan, lambda R, a: np.exp(-a * R) * (a * math.sin(R) + math.cos(R))
+                / (1.0 + a * a)),
+    # over a at x: sin(x) (1 - e^(-Rx)) / x, whose 1 term gives Si(R)
+    "alpha_first": (si, lambda R, x: np.exp(-R * x) * sinc(x)),
+}
+
+
 def fubini_square(R, order="x_first"):
     """Numerically integrate exp(-a*x)*sin(x) over the square [0,R]x[0,R].
 
     order selects which variable is integrated first ("x_first" or
     "alpha_first"); both orders must agree within their combined error
     estimates, and the value approaches pi/2 as R grows, with
-    |value - arctan(R)| <= 3(1 - exp(-R^2))/(2R). The inner integral is elementary and
-    taken in closed form, so one adaptive_quad integrates it over the outer variable at
-    tol FUBINI_TOL, cut first at the dyadic edges 2^k/R below R: those below 1 resolve
-    its layer of width 1/R at 0, those past 1 keep its tail off one wide panel.
+    |value - arctan(R)| <= 3(1 - exp(-R^2))/(2R). The inner integral is elementary: a 1 term,
+    whose outer integral is closed (arctan R or Si(R)), minus an e^(-Rt) layer, which one
+    adaptive_quad integrates at tol FUBINI_TOL over [0, min(R, 745/R)] (e^(-Rt) < 5e-324
+    past it), cut first at the dyadic edges 2^k/R: at most 11 first panels, whatever R.
     """
     R = require_positive(R, "R")
     if order not in _FUBINI_ORDERS:
         raise ValueError(f"order must be 'x_first' or 'alpha_first', got {order!r}")
-    inner, outer_cap = _FUBINI_ORDERS[order]
+    head, layer = _FUBINI_ORDERS[order]
+    reach = min(R, 745.0 / R)
     edges, edge = [], 1.0 / R
-    while edge < R:
+    while edge < reach:
         edges.append(edge)
         edge *= 2.0
-    return adaptive_quad(lambda t: inner(R, t), 0.0, R, tol=FUBINI_TOL, max_panel=outer_cap,
-                         breakpoints=edges)
+    res = adaptive_quad(lambda t: layer(R, t), 0.0, reach, tol=FUBINI_TOL, breakpoints=edges)
+    return replace(res, value=head(R) - res.value)

@@ -9,6 +9,7 @@ M2 h^2 / 8; 1e-15 covers the rounding of the two evaluations.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,8 +28,8 @@ def _grid_sup(values):
 
 @pytest.mark.parametrize("n", [1, 2, 7, 50, 200, 998, 1000])
 def test_lemma4_sup_lies_between_the_grid_and_its_interpolation_bound(n):
-    ns, sups, _ = _kink_sups(1000)
-    exact = sups[n - 1]
+    S, _ = _kink_sups()
+    exact = S / n
     old = np.linspace(-5.0, 5.0, 2001)
     assert exact >= _grid_sup(sinc_kink(n, old) - 0.5 * np.abs(old)) - 1e-15
     fine, h = np.linspace(0.0, 5.0, 200_001, retstep=True)
@@ -52,6 +53,15 @@ def test_lemma5_sup_lies_between_the_grid_and_its_interpolation_bound():
     fine, h = np.linspace(-2.0, 2.0, 400_001, retstep=True)
     m2 = np.max(np.abs(derivative(g, fine, 2)))
     assert _grid_sup(g(fine)) - 1e-15 <= S <= _grid_sup(g(fine)) + m2 * h * h / 8 + 1e-15
+
+
+def test_lemma5_rate_rejects_a_width_before_any_other_numeric_work(monkeypatch):
+    def unreached(*args):
+        raise AssertionError("numeric work before the ladder's check")
+
+    monkeypatch.setattr(certify, "_critical_sup", unreached)
+    with pytest.raises(ValueError, match=r"2/\(pi eps\) overflows"):
+        run_certificate("lemma5_rate", 1e-2, 1e-309)
 
 
 class _Gumbel:
@@ -82,7 +92,9 @@ def test_critical_sup_raises_when_newton_leaves_its_cells_or_stalls(factor, matc
 
 
 def test_lemma4_sup_is_the_same_fraction_of_the_bound_for_every_n():
-    ns, sups, every_n = _kink_sups(1000)
+    S, every_n = _kink_sups()
+    ns = np.arange(1, 1001)
+    sups = S / ns
     assert np.all(np.round(sups * ns / (2.0 / math.pi), 5) == 0.67410)
     assert abs(sups[-1] - 4.291457e-4) <= 1e-9  # a 2M-point grid on [0, 5] reads 4.291456e-4
     assert np.round(every_n["roots"], 5).tolist() == [1.92645, 4.89384]  # Si = pi/2 on (0, 5]
@@ -90,6 +102,42 @@ def test_lemma4_sup_is_the_same_fraction_of_the_bound_for_every_n():
     assert details["critical_points"] == 2 and details["for_every_n"] == every_n
     assert details["samples"][-1] == {"n": 901, "sup_error": sups[900],
                                       "bound": 2.0 / (901 * math.pi) + 1e-9}
+
+
+def _per_n_sweep(n_max):
+    """lemma4's worst margin and samples from the sups S/n and bounds of every n <= n_max."""
+    S, _ = _kink_sups()
+    ns = np.arange(1, n_max + 1)
+    sups, bounds = S / ns, 2.0 / (ns * math.pi) + 1e-9
+    step = max(1, n_max // 10)
+    return float(np.max(sups - bounds)), [
+        {"n": int(n), "sup_error": float(s), "bound": float(b)}
+        for n, s, b in zip(ns[::step], sups[::step], bounds[::step])]
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 10, 200, 999, 1000, 100_000])
+def test_lemma4_report_is_the_per_n_sweep(n_max):
+    # the margin (S - 2/pi)/n - slack is monotone in n: its ends hold the sweep's max
+    worst, samples = _per_n_sweep(n_max)
+    details = run_certificate("lemma4", n_max).details
+    assert details["worst_margin"] == worst and details["samples"] == samples
+    assert [type(row["n"]) for row in details["samples"]] == [int] * len(samples)
+
+
+@pytest.mark.parametrize("n_max", [1e15, 1e19, 1e300])
+def test_lemma4_at_a_huge_n_max_evaluates_only_its_ends_and_samples(n_max):
+    S, _ = _kink_sups()
+    tracemalloc.start()
+    try:
+        cert = run_certificate("lemma4", n_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.passed and peak < 1_000_000, peak
+    n = int(n_max)
+    ends = [S / m - (2.0 / (m * math.pi) + 1e-9) for m in (1, n)]
+    assert cert.details["worst_margin"] == max(ends)
+    assert [row["n"] for row in cert.details["samples"]] == list(range(1, n + 1, n // 10))
 
 
 @pytest.mark.parametrize("roots", [lambda r: r[1:], lambda r: r + 5.0],

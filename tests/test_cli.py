@@ -119,6 +119,16 @@ def test_pair_config_errors_exit_2(capsys):
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == "" and f"argument {flag}:" in err
+    # kernels that overflow: the Lorentz peak's panel sum 2/(pi eps) at 1e-309, and the
+    # sinc nodes r x on the support [-2, 2] at 1e308
+    for family, params in (("lorentz", "1e-300,1e-305,1e-309"),
+                           ("fourier", "1e306,1e307,1e308")):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["pair", "--family", family, "--params", params])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "argument --params:" in err and "Traceback" not in err
 
 
 def test_pair_non_monotone_params_exit_2():
@@ -146,7 +156,8 @@ BAD_CERTIFY_PARAMS = {
     "lemma6_lorentz": ["0", "100,0", "100,-0.5", "10,inf", "1000,1e-200", "1000,1e-160"],
     "lemma6_theta": ["0", "-1", "100,0", "100,0.5,3", "1000,1e-320"],
     "fubini": ["-1", "1,0,5"],
-    "lemma5_rate": ["0", "1e-2,-1e-3"],
+    # a width whose kernel's panel sum 2/(pi eps) overflows
+    "lemma5_rate": ["0", "1e-2,-1e-3", "1e-309"],
     # values a certificate has no place for would be dropped silently
     "si_tail": ["5"],
     "eq23_identity": ["1"],
@@ -208,10 +219,14 @@ def test_fubini_fails_when_an_order_does_not_converge(monkeypatch, capsys, uncon
     assert code == 1 and json.loads(out)["verdict"] == "fail"
 
 
-def test_fubini_passes_at_a_square_of_side_1e4(capsys):
-    # the outer integrals resolve the layer of width 1/R at 0, so the orders agree
-    code, out = run_cli(capsys, "certify", "fubini", "--params", "10000")
+@pytest.mark.parametrize("R", ["10000", "1e6", "1e308"])
+def test_fubini_passes_at_a_square_of_side_1e4(capsys, R):
+    # the outer integrals resolve the layer of width 1/R at 0, so the orders agree; past
+    # R ~ 1e6 an outer cut over all of [0, R] did not converge, and at 1e308 its nodes
+    # overflowed
+    code, out = run_cli(capsys, "certify", "fubini", "--params", R)
     assert code == 0 and json.loads(out)["verdict"] == "pass"
+    assert capsys.readouterr().err == ""
 
 
 def test_lemma4_at_a_million_costs_no_root_sweep(monkeypatch, capsys):

@@ -107,6 +107,32 @@ def test_lorentz_ladder_rejects_a_bad_width():
     assert pair_lorentz_ladder([], make_bump()) == []
 
 
+class _Unevaluated:
+    """A support whose test function raises if it is evaluated."""
+
+    def __init__(self, support):
+        self.support = support
+
+    def __call__(self, x):
+        raise AssertionError("f was evaluated")
+
+
+def test_kernels_that_overflow_are_rejected_before_any_quadrature():
+    f = _Unevaluated(make_bump().support)
+    # the Kronrod weights sum to 2, so a panel sum of the peak 1/(pi eps) is inf once
+    # 2/(pi eps) is, below eps ~ 3.54e-309
+    with pytest.raises(ValueError, match=r"eps = 3.28e-309: .* 2/\(pi eps\) overflows"):
+        pair_lorentz_ladder([1e-300, 3.28e-309], f)
+    # the nodes r x overflow on [-2, 2] once r M = 2 r does
+    with pytest.raises(ValueError, match="r = 1e\\+308: .* overflow"):
+        pair_sinc(1e308, f)
+
+
+def test_the_narrowest_width_whose_peak_sums_converges():
+    res = pair_lorentz(3.55e-309, make_bump())
+    assert res.converged and abs(res.value - 1.0) <= 1e-14
+
+
 def test_pair_sinc_away_from_origin():
     far = bump(1.0, 1.25, 1.75, 2.0)
     res = pair_sinc(500.0, far)

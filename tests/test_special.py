@@ -152,12 +152,13 @@ def test_fubini_tracks_arctan():
 
 
 def test_fubini_reports_a_square_past_its_panel_cap():
-    # at R = 1e6 the alpha-first outer cut needs more than MAX_PANELS panels; the
-    # x-first one, whose dyadic edges run on to R, converges to mpmath's value
-    # (Si(R) minus the layer integral at 30 digits, as in test_special_mpmath.py)
-    res = fubini_square(1e6, "x_first")
-    assert res.converged and abs(res.value - 1.57079439004311908) <= special.FUBINI_TOL
-    assert not fubini_square(1e6, "alpha_first").converged
+    # at R = 1e6 an alpha-first outer cut over all of [0, R] needed more than MAX_PANELS
+    # panels; with the head Si(R) closed, both orders integrate only the layer on
+    # [0, 745/R] and converge to mpmath's value (Si(R) minus the layer integral at 30
+    # digits, as in test_special_mpmath.py)
+    for order in special._FUBINI_ORDERS:
+        res = fubini_square(1e6, order)
+        assert res.converged and abs(res.value - 1.57079439004311908) <= special.FUBINI_TOL
 
 
 @pytest.mark.parametrize("R", [1e20, 1e300])
@@ -171,9 +172,11 @@ def test_fubini_x_first_keeps_the_tail_at_a_huge_square(R):
 def test_fubini_is_quiet():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for order, (inner, _) in special._FUBINI_ORDERS.items():
-            for R in (1e-300, 1e-3, 1.0, 50.0, 1e3):
-                inner(R, np.array([0.0, 1e-300, 1e-8, 0.3, 5.0, 1e3]))
+        for order, (head, layer) in special._FUBINI_ORDERS.items():
+            for R in (1e-300, 1e-3, 1.0, 50.0, 1e3, 1e308):
+                head(R)
+                # the layer's nodes lie in [0, min(R, 745/R)]
+                layer(R, min(R, 745.0 / R) * np.array([0.0, 1e-300, 1e-8, 0.3, 1.0]))
                 assert fubini_square(R, order).converged
 
 

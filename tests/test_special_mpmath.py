@@ -14,7 +14,7 @@ from _si_grid import si_grid
 from deltakit import fubini_square, si, sinc_kink
 from deltakit.certify import _kink_sups
 from deltakit.families import lorentz_delta_prime, sinc_delta_prime
-from deltakit.special import _FUBINI_ORDERS, sinc_prime
+from deltakit.special import _FUBINI_ORDERS, sinc, sinc_prime
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -116,7 +116,7 @@ def test_first_root_and_the_kink_sup_are_enclosed():
         iv.dps = dps
     assert float(peak.b) - float(peak.a) <= 2e-15
     # n = 1: the sup over [-5, 5] is |E(u_1)|; rounding stays uncovered
-    sup = _kink_sups(1)[1][0]
+    sup = _kink_sups()[0]
     assert float(peak.a) - 1e-15 <= sup <= float(peak.b) + 1e-15
 
 
@@ -126,7 +126,7 @@ def _mp_kink_error(u):
 
 
 def test_kink_error_at_the_roots_on_0_to_5_matches_mpmath():
-    every_n = _kink_sups(1)[2]
+    every_n = _kink_sups()[1]
     with mpmath.workdps(30):
         # mpmath's own roots of Si = pi/2, one per half-period below 5
         roots = [mpmath.findroot(lambda u: mpmath.si(u) - mpmath.pi / 2, g) for g in (2, 4.9)]
@@ -144,14 +144,14 @@ def test_kink_error_past_5_obeys_the_closed_tail():
     with mpmath.workdps(40):
         gaps = [float(abs(_mp_kink_error(mpmath.mpf(u)) + 1 / mpmath.pi)) for u in us]
     assert np.all(np.array(gaps) <= (1.0 / us + 2.0 / us**2) / math.pi)
-    every_n = _kink_sups(1)[2]
+    every_n = _kink_sups()[1]
     assert abs(every_n["tail_bound"] - 0.40744) <= 1e-5 and every_n["tail_bound"] < every_n["sup"]
 
 
 def test_a_constant_below_the_kink_sup_fails_the_verdict_for_every_n():
     # S = |E(u_1)| = 0.4291457 (mpmath): a bound 0.42/n fails at u_1 ~ 1.9264 for every n,
     # since the sup at n is S/n; 2/(pi n) holds
-    every_n = _kink_sups(1)[2]
+    every_n = _kink_sups()[1]
     with mpmath.workdps(30):
         u1 = mpmath.findroot(lambda u: mpmath.si(u) - mpmath.pi / 2, 2)
         assert 0.42 < abs(_mp_kink_error(u1)) < 2 / mpmath.pi
@@ -179,10 +179,12 @@ def _mp_inner(order, R, t):
 @pytest.mark.parametrize("order", ["x_first", "alpha_first"])
 @pytest.mark.parametrize("R", [1.0, 50.0, 1e3])
 def test_fubini_inner_integrals_match_mpmath(order, R):
-    # scipy's quad misreads the peak of width 1e-3 at the node 1e3
-    inner = _FUBINI_ORDERS[order][0]
+    # scipy's quad misreads the peak of width 1e-3 at the node 1e3; the inner integral is
+    # the 1 term, whose outer integral the head closes, minus the layer
+    one = {"x_first": lambda a: 1.0 / (1.0 + a * a), "alpha_first": sinc}[order]
+    layer = _FUBINI_ORDERS[order][1]
     for t in (0.0, 1e-300, 1e-8, 0.3, 5.0, 1e3):
-        assert abs(inner(R, t) - _mp_inner(order, R, t)) <= 1e-15, t
+        assert abs(one(t) - layer(R, t) - _mp_inner(order, R, t)) <= 1e-15, t
 
 
 def _mp_fubini(R):
@@ -202,3 +204,13 @@ def test_fubini_resolves_the_layer_at_zero(order, R):
     # R = 1e4 and still reported converged
     res = fubini_square(R, order)
     assert res.converged and abs(res.value - _mp_fubini(R)) <= 1e-9
+
+
+@pytest.mark.parametrize("order", ["x_first", "alpha_first"])
+@pytest.mark.parametrize("R", [1e6, 1e20, 1e300, 1e308])
+def test_fubini_at_a_huge_square_integrates_only_its_layer(order, R):
+    # the heads arctan R and Si(R) are closed, and the layer lives on [0, 745/R]: the
+    # whole outer [0, R] once took more than MAX_PANELS panels from R ~ 1e6
+    res = fubini_square(R, order)
+    assert res.converged and res.panels_used <= 16
+    assert abs(res.value - _mp_fubini(R)) <= 1e-15
