@@ -11,9 +11,10 @@ Exit codes: 0 all checks pass, 1 a tolerance/bound failed, 2 configuration
 error: a flag the subcommand does not take or that comes before it, a value
 its flag rejects (each number-list item a finite number; --interval lo < hi,
 --grid an integer >= 2, --fig 1..9; --shift not rounding the support to a point;
-pair --params whose kernel overflows: 2/(pi eps) or r M not finite),
---params values a certificate cannot run on (lemma6_*: an a whose majorant at
-n = 1 is not finite) or has no place for, and an unwritable --out path. Each
+pair --params whose kernel overflows: 2/(pi eps) or r M not finite; figure
+--interval on which the grid or a series is not all finite), --params values
+a certificate cannot run on (lemma6_*: an a whose majorant at n = 1 is not
+finite) or has no place for, and an unwritable --out path. Each
 message reads `deltakit <cmd>: error: unrecognized arguments: ...`,
 `... argument --flag: ...` or, for a certificate's own rejection,
 `... --params of <name>: ...`. Output is byte-for-byte deterministic for a
@@ -206,15 +207,20 @@ def _figure_series(config):
     return [("F_12", xs, up(xs)), ("G_34", xs, down(xs)), ("product", xs, up(xs) * down(xs))]
 
 
-def cmd_figure(config):
-    series = _figure_series(config)
-    # one chunk per series; the x column of a grid that series share is formatted once
+def cmd_figure(config, figure_parser):
+    with np.errstate(all="ignore"):  # an overflow is rejected below, not warned about
+        series = _figure_series(config)
+    if not all(np.isfinite(points).all() and np.isfinite(values).all()
+               for _, points, values in series):
+        figure_parser.error("argument --interval: figure %d's grid or values are not all "
+                            "finite on %r,%r" % (config.fig, *config.interval))
+    # one chunk per series: a row template around its grid's x column (formatted once), one %
     grids = {id(points): points for _, points, _ in series}
     columns = {key: ["%.17g," % x for x in points.tolist()] for key, points in grids.items()}
     return _write_report(
         config, True, "x,value,series",
-        ("".join([x + "%.17g" % v + tail for x, v in zip(columns[id(points)], values.tolist())])
-         for label, points, values in series for tail in [f",{label}\n"]),
+        ((row.join(columns[id(points)]) + row) % tuple(values.tolist())
+         for label, points, values in series for row in [f"%.17g,{label.replace('%', '%%')}\n"]),
         ([{"x": x, "value": v, "series": label} for x, v in zip(points.tolist(), values.tolist())]
          for label, points, values in series))
 
@@ -291,7 +297,7 @@ def main(argv=None):
         return cmd_pair(config, commands["pair"])
     if config.command == "certify":
         return cmd_certify(config, commands["certify"])
-    return cmd_figure(config)
+    return cmd_figure(config, commands["figure"])
 
 
 if __name__ == "__main__":

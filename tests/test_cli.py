@@ -12,6 +12,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import deltakit
@@ -356,16 +357,20 @@ def test_figure_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-@pytest.mark.parametrize("interval", [None, (-4.7, 5.3)])
+@pytest.mark.parametrize("interval", [None, (-4.7, 5.3), (-5.2, 4.7)])
 @pytest.mark.parametrize("fig", range(1, 10))
 def test_full_size_figure_bytes(fig, interval, tmp_path, capsys):
     # every row from the figure's own arrays, each formatted on its own: the
-    # CLI formats a grid that several series share once, and figure 2's
-    # envelopes lie on the nonzero points, not on the grid
+    # CLI fills one row template per series, formats a grid that several
+    # series share once, and figure 2's envelopes lie on the nonzero points,
+    # not on the grid
     config = RunConfig("figure", fig=fig, **({} if interval is None else {"interval": interval}))
+    series = _figure_series(config)
+    if fig == 2 and interval is None:  # the default grid holds 0: two grids
+        assert [len(points) for _, points, _ in series] == [2001, 2000, 2000]
     want = "x,value,series\n" + "".join(
         "%.17g,%.17g,%s\n" % (x, v, label)
-        for label, points, values in _figure_series(config) for x, v in zip(points, values))
+        for label, points, values in series for x, v in zip(points, values))
     argv = ["figure", "--fig", str(fig)]
     if interval is not None:
         argv.append("--interval=%r,%r" % interval)
@@ -374,6 +379,47 @@ def test_full_size_figure_bytes(fig, interval, tmp_path, capsys):
     assert main([*argv, "--out", "-"]) == 0
     assert path.read_text() == want
     assert capsys.readouterr().out == want
+
+
+def test_figure_csv_template_keeps_a_label_with_percent_signs(monkeypatch, capsys):
+    # a label is text in its row template, not a conversion
+    xs = np.array([-1.0, 0.5, 2.0])
+    series = [("a%sb%%c%", xs, xs * 3.0), ("%d", xs[1:], xs[1:] ** 2)]
+    monkeypatch.setattr(deltakit.cli, "_figure_series", lambda config: series)
+    assert main(["figure", "--fig", "1", "--out", "-"]) == 0
+    assert capsys.readouterr().out == "x,value,series\n" + "".join(
+        "%.17g,%.17g,%s\n" % (x, v, label)
+        for label, points, values in series for x, v in zip(points, values))
+
+
+# a grid or series that is not all finite: hi - lo overflows, so the grid
+# itself holds nan and inf; the sinc nodes r x overflow and sin(inf) is nan;
+# figure 2's envelopes 1/(pi |x|) overflow
+NON_FINITE_FIGURES = [
+    *(["figure", "--fig", str(fig), "--interval=-1e308,1e308"] for fig in range(1, 10)),
+    ["figure", "--fig", "1", "--interval=-1e307,1e307"],
+    ["figure", "--fig", "2", "--interval=-1e307,1e307"],
+    ["figure", "--fig", "2", "--interval=-1e-320,1e-320"],
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", NON_FINITE_FIGURES, ids=" ".join)
+def test_figure_that_is_not_finite_exits_2_writing_nothing(argv, fmt, tmp_path, monkeypatch,
+                                                           capsys):
+    # computed without a RuntimeWarning (which fails the test) and rejected
+    # before any file is opened, at the default path, on stdout or at --out
+    monkeypatch.chdir(tmp_path)
+    for out in ([], ["--out", "-"], ["--out", "x.csv"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--format", fmt, *out])
+        assert exc.value.code == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and "Traceback" not in err
+        assert err.splitlines()[-1].startswith(
+            "deltakit figure: error: argument --interval: figure %s's grid or values are not "
+            "all finite on " % argv[2])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_figure_csv_is_written_without_joining_the_report(tmp_path):
