@@ -19,8 +19,7 @@ import numpy as np
 
 from ._util import require_positive
 from .families import lorentz_delta, sinc_delta
-from .quadrature import (MAX_PANELS, QuadratureError, _first_cut, _quad_rows, adaptive_quad,
-                         half_period_cap)
+from .quadrature import QuadratureError, _first_cut, _quad_rows, adaptive_quad, half_period_cap
 from .special import si
 from .testfn import Interval, derivative, difference_quotient
 
@@ -55,11 +54,11 @@ class RateFit:
     n_excluded: int = 0
 
 
-def pair(phi, f, *, tol=1e-10, max_panel=None, breakpoints=()):
+def pair(phi, f, *, tol=1e-10, max_panel=None):
     """Pair an integrable phi against a TestFunction f over its support: one QuadResult."""
     return adaptive_quad(lambda x: np.asarray(phi(x), dtype=float) * np.asarray(f(x), dtype=float),
                          f.support.lo, f.support.hi,
-                         tol=tol, max_panel=max_panel, breakpoints=breakpoints)
+                         tol=tol, max_panel=max_panel)
 
 
 def pair_sinc(r, f):
@@ -89,9 +88,9 @@ def pair_split(r, f):
     return quad.value / math.pi, 2.0 * float(f(0.0)) * si(r * M) / math.pi
 
 
-def pair_lorentz(eps, f, *, tol=1e-10):
+def pair_lorentz(eps, f):
     """Pair the Lorentz kernel against a TestFunction f: pair_lorentz_ladder at one width."""
-    return pair_lorentz_ladder([eps], f, tol=tol)[0]
+    return pair_lorentz_ladder([eps], f)[0]
 
 
 def pair_lorentz_ladder(eps_list, f, *, tol=1e-10):
@@ -114,7 +113,7 @@ def pair_lorentz_ladder(eps_list, f, *, tol=1e-10):
         while scale < reach:
             edges.extend((scale, -scale))
             scale *= 2.0
-        cuts.append(_first_cut(f.support.lo, f.support.hi, edges, 0.5, MAX_PANELS))
+        cuts.append(_first_cut(f.support.lo, f.support.hi, edges, 0.5))
     return _quad_rows(lambda i, x: lorentz_delta(eps[i], x) * f(x), cuts, tol=tol)
 
 
@@ -137,7 +136,7 @@ def sine_decay_fit(g, interval, r_list):
 
     r_arr = np.array(rs)
     rows = _quad_rows(lambda i, x: np.asarray(g(x), dtype=float) * np.sin(r_arr[i] * x),
-                      [_first_cut(iv.lo, iv.hi, (), half_period_cap(r), MAX_PANELS) for r in rs],
+                      [_first_cut(iv.lo, iv.hi, (), half_period_cap(r)) for r in rs],
                       tol=SINE_DECAY_TOL)
     samples = []
     for r, res in zip(rs, rows):

@@ -212,7 +212,7 @@ def _quad_rows(f, cuts, *, tol, max_panels=MAX_PANELS):
     return results
 
 
-def _first_cut(a, b, breakpoints, max_panel, max_panels):
+def _first_cut(a, b, breakpoints, max_panel, max_panels=MAX_PANELS):
     """The first panel edges of [a, b], a < b: cut at the breakpoints inside it and
     into panels no wider than max_panel, a cap widened where that cut would exceed
     max_panels."""

@@ -257,9 +257,9 @@ def check_fundamental(seq, interval=(-5.0, 5.0), n_max=50, tol=1e-2, *, order=No
     row as it comes, and checks the sup-norm Cauchy criterion: the tail
     diameter over members n >= n_max/2 must fall below 2*tol (diameter is at
     most twice the distance to a limit). When the level matches the declared
-    limit, the sup errors against the limit must also decrease below tol by
-    n_max. The verdict fails when the sup errors do not decrease. n_max must
-    be an integer >= 2.
+    limit, the sup error against the limit at n_max must also be at most tol,
+    whatever the errors before it. Without a limit, the tail diameter must also
+    halve from n = 1, or start within tol. n_max must be an integer >= 2.
     """
     n_max = require_count(n_max, "n_max", minimum=2)
     iv, xs = _grid(interval)
@@ -273,8 +273,7 @@ def check_fundamental(seq, interval=(-5.0, 5.0), n_max=50, tol=1e-2, *, order=No
 
     if limit is not None:
         bound_used = "sup |primitive_k(n, x) - limit(x)| on grid"
-        decreasing = sup_errors[-1] <= sup_errors[0] or sup_errors[0] <= tol
-        verdict = bool(cauchy_ok and sup_errors[-1] <= tol and decreasing)
+        verdict = bool(cauchy_ok and sup_errors[-1] <= tol)
     else:
         sup_errors = cauchy
         bound_used = "sup-norm Cauchy tail diameter on grid"
@@ -291,8 +290,8 @@ def check_equivalent(a, b, interval=(-5.0, 5.0), n_max=50, tol=1e-2):
     """Check that two fundamental sequences share a common primitive limit.
 
     Uses the larger of the two primitive orders; the lower tower is lifted by
-    further anchored integration (numerically when no closed form exists).
-    n_max must be an integer >= 2.
+    further anchored integration (numerically when no closed form exists). It
+    passes when the sup difference at n_max is at most tol; n_max must be an integer >= 2.
     """
     n_max = require_count(n_max, "n_max", minimum=2)
     iv, xs = _grid(interval)
@@ -300,8 +299,7 @@ def check_equivalent(a, b, interval=(-5.0, 5.0), n_max=50, tol=1e-2):
     ns = np.arange(1, n_max + 1)
     level_k = lambda seq, n: np.asarray(seq.primitive(k, int(n), xs), dtype=float)
     sup_diffs = np.array([np.max(np.abs(level_k(a, n) - level_k(b, n))) for n in ns])
-    decreasing = sup_diffs[-1] <= sup_diffs[0] or sup_diffs[0] <= tol
-    verdict = bool(sup_diffs[-1] <= tol and decreasing)
+    verdict = bool(sup_diffs[-1] <= tol)
     return GridReport(interval=(iv.lo, iv.hi), n_values=tuple(range(1, n_max + 1)),
                       sup_errors=tuple(sup_diffs.tolist()), verdict=verdict,
                       bound_used=f"sup |primitive_{k}(a) - primitive_{k}(b)| on grid",

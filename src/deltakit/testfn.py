@@ -178,16 +178,12 @@ def _constant_jet(value, order):
 
 
 def smooth_step_up(alpha, beta):
-    """Smooth step that rises from 0 (x <= alpha) to 1 (x >= beta)."""
-    if not float(alpha) < float(beta):
-        raise ValueError(f"smooth_step_up requires alpha < beta, got {alpha}, {beta}")
+    """Smooth step that rises from 0 (x <= alpha) to 1 (x >= beta), for finite alpha < beta."""
     return SmoothStep(alpha, beta)
 
 
 def smooth_step_down(gamma, delta):
-    """Smooth step that falls from 1 (x <= gamma) to 0 (x >= delta)."""
-    if not float(gamma) < float(delta):
-        raise ValueError(f"smooth_step_down requires gamma < delta, got {gamma}, {delta}")
+    """Smooth step that falls from 1 (x <= gamma) to 0 (x >= delta), for finite gamma < delta."""
     return SmoothStep(gamma, delta, falling=True)
 
 
