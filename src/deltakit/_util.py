@@ -1,10 +1,27 @@
-"""Small shared helpers: scalar/array dispatch, argument checks and Newton's method."""
+"""Small shared helpers: scalar/array dispatch, argument checks, ln(1 + u^2) and Newton's method."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 EPS = float(np.finfo(float).eps)
+
+
+def log1p_square(u):
+    """ln(1 + u^2): log1p(u^2), which keeps precision for small u, or 2 ln|u| where u^2
+    overflows (|u| > ~1.3e154) and 1 + u^2 rounds to u^2. A Python float goes through
+    math, numpy input through numpy, so each keeps the bits of its log1p(u * u)."""
+    if type(u) is float:
+        uu = u * u
+        return math.log1p(uu) if uu < math.inf else 2.0 * math.log(abs(u))
+    with np.errstate(over="ignore"):  # an overflowed u^2 is replaced below
+        uu = u * u
+    if (uu < np.inf).all():
+        return np.log1p(uu)
+    with np.errstate(divide="ignore"):  # ln 0 at u = 0, where log1p's value is kept
+        return np.where(uu < np.inf, np.log1p(uu), 2.0 * np.log(np.abs(u)))
 
 
 def as_float_array(x):

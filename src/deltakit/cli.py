@@ -93,8 +93,9 @@ def _write_report(config, passed, header, rows, results, **fields):
     CSV is the `header` line, then each chunk of whole lines as `rows` yields
     it; JSON is json.dumps of the envelope around `results` and `fields`
     (indent 2, sorted keys), written as each chunk of result dicts that
-    `results` yields is dumped. So no report is joined in memory, and only the
-    requested format is built: `rows` and `results` may be generators. Figure
+    `results` yields is dumped. So no report is joined in memory, and where
+    `rows` and `results` are generators, as figure's are, only the requested
+    format is built; pair and certify pass their few lines as lists. Figure
     CSV goes to fig<N>.csv unless --out names a path; a path that cannot be
     opened exits 2 with nothing written. Stdout closed early by its reader
     ends quietly, with the verdict's code.

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._util import as_float_array, maybe_scalar, require_positive
+from ._util import as_float_array, log1p_square, maybe_scalar, require_positive
 from .special import si, sinc, sinc_prime
 
 __all__ = [
@@ -112,13 +112,13 @@ def lorentz_step(n, x):
 def lorentz_kink(n, x):
     """Second anchored primitive: x*arctan(n x)/pi - log(1 + n^2 x^2)/(2 pi n).
 
-    Even in x; converges almost uniformly to |x|/2. log1p keeps precision
-    for small n x.
+    Even in x; converges almost uniformly to |x|/2. The logarithm is log1p_square's,
+    precise for small n x and finite where (n x)^2 overflows.
     """
     n = require_positive(n, "n")
     arr, scalar = as_float_array(x)
     u = n * arr
-    out = arr * np.arctan(u) / _PI - np.log1p(u * u) / (2.0 * _PI * n)
+    out = arr * np.arctan(u) / _PI - log1p_square(u) / (2.0 * _PI * n)
     return maybe_scalar(out, scalar)
 
 

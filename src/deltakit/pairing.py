@@ -61,12 +61,19 @@ def pair(phi, f, *, tol=1e-10, max_panel=None):
                          tol=tol, max_panel=max_panel)
 
 
+def _sine_cutoff(r, reach):
+    """A cutoff r of sin(r x) as a float, checked finite and positive (ValueError), and
+    with its nodes r x finite for |x| <= reach (ValueError naming r, before any quadrature)."""
+    r = require_positive(r, "r")
+    if not math.isfinite(r * reach):
+        raise ValueError(f"r = {r:g}: the kernel's nodes r x overflow for |x| <= {reach:g}")
+    return r
+
+
 def pair_sinc(r, f):
     """Pair the truncated-spectrum kernel against f, panels <= pi/r wide; raises ValueError
     first where r M, with M the reach of f's support, overflows."""
-    r = require_positive(r, "r")
-    if not math.isfinite(r * max(abs(f.support.lo), abs(f.support.hi))):
-        raise ValueError(f"r = {r:g}: the kernel's nodes r x overflow on f's support")
+    r = _sine_cutoff(r, max(abs(f.support.lo), abs(f.support.hi)))
     return pair(lambda x: sinc_delta(r, x), f, tol=PAIR_TOL, max_panel=half_period_cap(r))
 
 
@@ -76,10 +83,11 @@ def pair_split(r, f):
     term1 pairs sin(r x) against the continuous difference quotient of f over
     the symmetric hull [-M, M] of its support; term2 = 2 f(0) Si(r M) / pi
     carries the delta-defining part exactly (through si). term1 + term2 equals the
-    direct pairing up to quadrature error. An unconverged term1 raises QuadratureError.
+    direct pairing up to quadrature error. An unconverged term1 raises QuadratureError,
+    and an r whose nodes r x overflow on [-M, M] ValueError, as in pair_sinc.
     """
-    r = require_positive(r, "r")
     M = max(abs(f.support.lo), abs(f.support.hi))
+    r = _sine_cutoff(r, M)
     g = difference_quotient(f)
     quad = adaptive_quad(lambda x: g(x) * np.sin(r * x), -M, M,
                          tol=PAIR_TOL, max_panel=half_period_cap(r))
@@ -127,10 +135,11 @@ def sine_decay_fit(g, interval, r_list):
     bound integral that does not converge QuadratureError. The samples are the rows
     of one quadrature, each r's cut first into panels at most half a period wide, so
     g is evaluated once a round for all of them; the bound integral is cut as the
-    largest r's row is, so it sees g' on the scale the samples see g.
+    largest r's row is, so it sees g' on the scale the samples see g. An r whose nodes
+    r x overflow on the interval raises ValueError, as in pair_sinc.
     """
     iv = Interval.coerce(interval)
-    rs = [require_positive(r, "r") for r in r_list]
+    rs = [_sine_cutoff(r, max(abs(iv.lo), abs(iv.hi))) for r in r_list]
     if len(rs) < 2 or any(b <= a for a, b in zip(rs, rs[1:])):
         raise ValueError("r_list must be increasing with at least 2 entries")
 
@@ -175,7 +184,9 @@ def extrapolate_limit(samples, mode="inverse_param"):
 
     Fits value = L + c/param ("inverse_param") or L + c * p * ln(1/p)
     ("log_corrected", for widths p decreasing to 0) by least squares and
-    returns L. Requires >= 3 samples with strictly monotone params.
+    returns L. Requires >= 3 samples with strictly monotone params, and
+    refuses a fit whose regressor overflows (a param near 0 or near the float
+    range's end) as degenerate, before LAPACK sees it.
     """
     pts = [(float(p), float(v)) for p, v in samples]
     if len(pts) < 3:
@@ -191,14 +202,15 @@ def extrapolate_limit(samples, mode="inverse_param"):
     if mode == "inverse_param":
         if np.any(params == 0.0):
             raise ValueError("inverse_param mode requires nonzero params")
-        regressor = 1.0 / params
     elif mode == "log_corrected":
         if np.any(params <= 0.0):
             raise ValueError("log_corrected mode requires positive params")
-        regressor = params * np.log(1.0 / params)
     else:
         raise ValueError(f"unknown extrapolation mode {mode!r}")
-
+    with np.errstate(over="ignore"):  # an overflow is refused next
+        regressor = 1.0 / params if mode == "inverse_param" else params * np.log(1.0 / params)
+    if not np.all(np.isfinite(regressor)):
+        raise ValueError(f"the {mode} regressor overflows: the fit is degenerate")
     coef, _, rank = _line_fit(regressor, values)
     if rank < 2:
         raise ValueError("singular fit matrix: regressors are degenerate")

@@ -121,7 +121,7 @@ def _panel_rule(f, lo, hi):
     if not np.isfinite(k15).all():
         bad = np.broadcast_to(pts, fx.shape)[~np.isfinite(fx)]
         if bad.size:
-            raise QuadratureError(f"integrand returned a non-finite value near x={bad[0]!r}")
+            raise QuadratureError(f"integrand returned a non-finite value near x={float(bad[0])!r}")
     np.multiply(fx, GAUSS_WEIGHTS, out=weighted)
     g7 = hw * weighted.sum(axis=-1)
     return k15, np.abs(k15 - g7)
@@ -331,7 +331,7 @@ def _lift_coefficients(f, lo, hi):
     fx = _call_integrand(f, pts)
     if not np.isfinite(fx).all():
         raise QuadratureError(
-            f"integrand returned a non-finite value near x={pts[~np.isfinite(fx)][0]!r}")
+            f"integrand returned a non-finite value near x={float(pts[~np.isfinite(fx)][0])!r}")
     coef = _chebyshev_coefficients(fx, _LIFT_COSINES)
     return coef, (hi - lo) * np.abs(coef[:, -2:]).sum(axis=-1)
 

@@ -96,7 +96,7 @@ class FundamentalSeq:
     its Chebyshev panels once per level (tolerance LIFT_TOL). off_origin,
     an OffOriginBound, is what check_zero_off_origin holds the sequence to
     away from the origin; by default its terms must fall below
-    OFF_ORIGIN_TOL. label is only displayed. Immutable.
+    OFF_ORIGIN_TOL. label is only displayed.
     """
 
     def __init__(self, term, primitive_order, primitives=(),

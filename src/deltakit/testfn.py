@@ -192,7 +192,7 @@ class TestFunction(_JetFunction):
 
     jet(x, order) is the list of its Taylor coefficients f^(k)(x)/k! for
     k = 0..order; the value is the order-0 coefficient, and derivative(f, x, k)
-    reads f^(k)(x) off the jet, exact to rounding. Immutable.
+    reads f^(k)(x) off the jet, exact to rounding.
     """
 
     __test__ = False  # not a pytest collection target
@@ -315,7 +315,8 @@ class DifferenceQuotient(_JetFunction):
 
         row, _, _, vals, errs = _refine_rows(rule, [[0, 1]] * x.size, 1e-12, MAX_QUOTIENT_PANELS)
         if not (total := np.bincount(row, errs, x.size)).max() <= 1e-12:  # NaN fails too
-            raise ArithmeticError(f"the difference quotient of {f!r} at x = {x[total.argmax()]!r} "
+            raise ArithmeticError(f"the difference quotient of {f!r} at "
+                                  f"x = {float(x[total.argmax()])!r} "
                                   f"needs more than {MAX_QUOTIENT_PANELS} panels")
         g = np.full((x.size, order + 1), -0.0)  # -0.0 + v is v, bit for bit
         np.add.at(g, row, vals)  # a row's panels from left to right

@@ -513,6 +513,19 @@ def test_pair_reports_a_degenerate_fit(capsys):
     assert len(lines) == 5 and lines[-1] == "limit,nan,nan"
 
 
+@pytest.mark.parametrize("family, params", [
+    ("fourier", "1e-310,1e-309,1e-308"),  # 1/R overflows
+    ("lorentz", "1e306,1e305,1e304"),  # eps ln(1/eps) overflows
+])
+def test_pair_fails_a_fit_whose_regressor_overflows(capfd, family, params):
+    # refused before LAPACK, which would print to fd 1 ahead of the JSON
+    code = main(["pair", "--family", family, "--params", params])
+    out, err = capfd.readouterr()
+    report = json.loads(out)
+    assert code == 1 and err == "" and report["verdict"] == "fail"
+    assert report["extrapolated_limit"] is None and report["abs_limit_error"] is None
+
+
 def test_figure_bad_id_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["figure", "--fig", "12"])

@@ -123,9 +123,11 @@ def test_kernels_that_overflow_are_rejected_before_any_quadrature():
     # 2/(pi eps) is, below eps ~ 3.54e-309
     with pytest.raises(ValueError, match=r"eps = 3.28e-309: .* 2/\(pi eps\) overflows"):
         pair_lorentz_ladder([1e-300, 3.28e-309], f)
-    # the nodes r x overflow on [-2, 2] once r M = 2 r does
-    with pytest.raises(ValueError, match="r = 1e\\+308: .* overflow"):
-        pair_sinc(1e308, f)
+    # the nodes r x overflow on [-2, 2] once r M = 2 r does, in all three sine pairings
+    for call in (lambda: pair_sinc(1e308, f), lambda: pair_split(1e308, f),
+                 lambda: sine_decay_fit(f, (-2.0, 2.0), [1e307, 1e308])):
+        with pytest.raises(ValueError, match=r"^r = 1e\+308: the kernel's nodes r x overflow"):
+            call()
 
 
 def test_the_narrowest_width_whose_peak_sums_converges():
@@ -388,6 +390,17 @@ def test_extrapolate_inverse_param_rejects_a_zero_param(capfd):
         with pytest.raises(ValueError, match="nonzero"):
             extrapolate_limit([(p, 1.0) for p in params])
     assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("mode, params", [
+    ("inverse_param", (1e-310, 1e-309, 1e-308)),  # 1/p overflows
+    ("log_corrected", (1e306, 1e305, 1e304)),  # p ln(1/p) overflows
+])
+def test_extrapolate_refuses_a_regressor_that_overflows(capfd, mode, params):
+    # refused before LAPACK sees it, which would print to fd 1, and with no RuntimeWarning
+    with pytest.raises(ValueError, match=f"the {mode} regressor overflows"):
+        extrapolate_limit([(p, 1.0) for p in params], mode=mode)
+    assert capfd.readouterr() == ("", "")
 
 
 def test_extrapolate_log_corrected():

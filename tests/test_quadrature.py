@@ -30,7 +30,7 @@ def test_panel_rule_names_a_bad_point(bad):
     lo, hi = np.array([0.0, 1.0]), np.array([1.0, 2.0])
     with pytest.raises(QuadratureError, match="non-finite") as exc:
         _panel_rule(f, lo, hi)
-    x = float(re.search(r"x=(?:np\.float64\()?([-+0-9.e]+)", str(exc.value)).group(1))
+    x = float(re.fullmatch(r".* near x=([-+0-9.e]+)", str(exc.value)).group(1))
     assert 0.5 < x < 2.0
 
 
@@ -55,7 +55,7 @@ def test_panel_rule_names_a_bad_point_of_a_later_value_row(bad):
 
     with pytest.raises(QuadratureError, match="non-finite") as exc:
         _panel_rule(f, np.array([0.0, 2.0]), np.array([2.0, 3.0]))
-    x = float(re.search(r"x=(?:np\.float64\()?([-+0-9.e]+)", str(exc.value)).group(1))
+    x = float(re.fullmatch(r".* near x=([-+0-9.e]+)", str(exc.value)).group(1))
     assert 2.6 < x < 3.0 and x in (2.5 + 0.5 * NODES)
 
 
@@ -450,7 +450,7 @@ def test_lifting_names_a_non_finite_value_of_its_integrand(bad):
 
     with pytest.raises(QuadratureError, match="non-finite value") as exc:
         quadrature.anchored_primitive_values(f, [-1.0, 2.0])
-    x = float(re.search(r"x=(?:np\.float64\()?([-+0-9.e]+)", str(exc.value)).group(1))
+    x = float(re.fullmatch(r".* near x=([-+0-9.e]+)", str(exc.value)).group(1))
     assert 0.5 < x < 2.0
 
 

@@ -75,6 +75,18 @@ def test_check_fundamental_fails_at_step_level():
     assert not report.verdict
 
 
+def test_a_sup_that_rises_from_n_1_but_ends_within_tol_passes():
+    # terms x n^2 2^-n on [-1, 1]: the sup rises to n = 3, then falls to 1.5e-9 by
+    # n = 40; a verdict reads the end of the sequence, not its start
+    seq = FundamentalSeq(term=lambda n, x: np.asarray(x, dtype=float) * (n * n * 2.0 ** -n),
+                         primitive_order=0, limit_of_primitives=lambda x: 0.0 * x)
+    for report in (check_fundamental(seq, (-1.0, 1.0), n_max=40, tol=1e-3),
+                   check_equivalent(seq, zero_seq(), (-1.0, 1.0), n_max=40, tol=1e-3)):
+        assert report.sup_errors[0] < report.sup_errors[1] < report.sup_errors[2]
+        assert report.sup_errors[0] > report.tol >= report.sup_errors[-1]
+        assert report.verdict
+
+
 def test_check_fundamental_validation():
     with pytest.raises(ValueError):
         check_fundamental(sinc_delta_seq(), (-1.0, 1.0), n_max=1)

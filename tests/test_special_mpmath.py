@@ -1,5 +1,5 @@
-"""si, sinc's derivatives, the kink error E and fubini_square against mpmath at 20
-to 40 digits.
+"""si, sinc's derivatives, the kink error E, fubini_square and the Lorentz kink against
+mpmath at 20 to 50 digits.
 
 Kept apart from test_special.py so that the rest of the si tests collect
 where mpmath is not installed; this module is skipped there.
@@ -13,7 +13,7 @@ from _si_grid import si_grid
 
 from deltakit import fubini_square, si, sinc_kink
 from deltakit.certify import _kink_sups
-from deltakit.families import lorentz_delta_prime, sinc_delta_prime
+from deltakit.families import lorentz_delta_prime, lorentz_kink, sinc_delta_prime
 from deltakit.special import _FUBINI_ORDERS, sinc, sinc_prime
 
 mpmath = pytest.importorskip("mpmath")
@@ -214,3 +214,16 @@ def test_fubini_at_a_huge_square_integrates_only_its_layer(order, R):
     res = fubini_square(R, order)
     assert res.converged and res.panels_used <= 16
     assert abs(res.value - _mp_fubini(R)) <= 1e-15
+
+
+@pytest.mark.parametrize("n, x", [(1e200, 5.0), (1.0, 1e300), (1.0, -1e300), (1e150, 1e10)])
+def test_lorentz_kink_where_its_square_overflows_matches_mpmath(n, x):
+    # (n x)^2 overflows past |n x| ~ 1.3e154, where ln(1 + (n x)^2) is 2 ln|n x|;
+    # the suite turns a RuntimeWarning into an error
+    with mpmath.workdps(50):
+        n_mp, x_mp = mpmath.mpf(n), mpmath.mpf(x)
+        want = (x_mp * mpmath.atan(n_mp * x_mp) / mpmath.pi
+                - mpmath.log1p((n_mp * x_mp) ** 2) / (2 * mpmath.pi * n_mp))
+        assert abs((mpmath.mpf(lorentz_kink(n, x)) - want) / want) <= 1e-15
+    got = lorentz_kink(n, np.array([x, 0.0, 1e-3]))
+    assert got[0] == lorentz_kink(n, x) and got[1] == 0.0 and np.isfinite(got[2])
