@@ -62,12 +62,33 @@ def test_pair_fourier(capsys):
     assert report["results"][0]["param"] == 100.0
 
 
-def test_pair_lorentz(capsys):
-    code, out = run_cli(capsys, "pair", "--family", "lorentz",
-                        "--params", "1e-1,1e-2,1e-3,1e-4", "--tol", "1e-2")
+@pytest.mark.parametrize("params", [
+    "1e-1,1e-2,1e-3,1e-4",  # the eps = 1e-4 rung is 4.3e-5 from f(0)
+    "1e-100,1e-120,1e-150",  # every rung is f(0) to rounding
+])
+def test_pair_lorentz(capsys, params):
+    code, out = run_cli(capsys, "pair", "--family", "lorentz", "--params", params)
     assert code == 0
     report = json.loads(out)
-    assert abs(report["extrapolated_limit"] - 1.0) <= 1e-2
+    assert abs(report["extrapolated_limit"] - 1.0) <= 1e-3
+
+
+@pytest.mark.parametrize("bump_flags", [
+    [], ["--shift", "0.4"], ["--bump=-2.1,-1.2,1.1,1.9", "--shift", "1.5"],
+], ids=["default", "shift", "transition"])
+@pytest.mark.parametrize("family, params", [
+    ("fourier", "100,200,400,800"), ("fourier", "800,400,200,100"),
+    ("lorentz", "1e-1,1e-2,1e-3,1e-4"), ("lorentz", "1e-4,1e-3,1e-2,1e-1"),
+])
+def test_pair_limit_is_the_finest_rung(capsys, family, params, bump_flags):
+    code, out = run_cli(capsys, "pair", "--family", family, "--params", params, *bump_flags)
+    report = json.loads(out)
+    rungs = {r["param"]: r["value"] for r in report["results"]}
+    finest = rungs[max(rungs) if family == "fourier" else min(rungs)]
+    f0 = report["target_value_at_zero"]
+    assert code == 0 and report["extrapolated_limit"] == finest
+    assert report["abs_limit_error"] == abs(finest - f0)
+    assert all(abs(finest - f0) <= abs(value - f0) for value in rungs.values())
 
 
 def test_pair_shifted_bump_targets_zero(capsys):
@@ -80,8 +101,9 @@ def test_pair_shifted_bump_targets_zero(capsys):
 
 
 def test_pair_tolerance_failure_exit_code(capsys):
+    # the R = 800 rung, the limit, is 2.2e-16 from f(0)
     code, out = run_cli(capsys, "pair", "--family", "fourier",
-                        "--params", "100,200,400,800", "--tol", "1e-15")
+                        "--params", "100,200,400,800", "--tol", "1e-16")
     assert code == 1
     assert json.loads(out)["verdict"] == "fail"
 
@@ -498,32 +520,37 @@ def test_lemma5_rate_pairs_its_widths_as_one_quadrature(monkeypatch, capsys):
     assert calls == [5]
 
 
-def test_pair_reports_a_degenerate_fit(capsys):
-    # 1/R are equal to rounding against the intercept column: no limit is reported
+def test_pair_fails_a_tiny_cutoff_ladder_with_a_finite_limit(capsys):
+    # every rung is near 0, so the limit, the R = 1e-298 rung, is 1 from f(0)
     params = "1e-300,1e-299,1e-298"
     argv = ["pair", "--family", "fourier", "--params", params]
     code, out = run_cli(capsys, *argv)
     report = json.loads(out)
     assert code == 1 and report["verdict"] == "fail"
-    assert report["extrapolated_limit"] is None and report["abs_limit_error"] is None
+    assert report["extrapolated_limit"] == report["results"][-1]["value"]
+    assert math.isclose(report["extrapolated_limit"], 9.549296585513719e-299, rel_tol=1e-12)
+    assert report["abs_limit_error"] == 1.0
     assert [r["param"] for r in report["results"]] == [float(p) for p in params.split(",")]
     code, out = run_cli(capsys, *argv, "--format", "csv")
     lines = out.splitlines()
-    assert code == 1 and lines[0] == "param,value,abs_error_estimate"
-    assert len(lines) == 5 and lines[-1] == "limit,nan,nan"
+    assert code == 1 and lines[0] == "param,value,abs_error_estimate" and len(lines) == 5
+    label, limit, error = lines[-1].split(",")
+    assert label == "limit" and float(limit) == report["extrapolated_limit"] and error == "1"
 
 
 @pytest.mark.parametrize("family, params", [
-    ("fourier", "1e-310,1e-309,1e-308"),  # 1/R overflows
-    ("lorentz", "1e306,1e305,1e304"),  # eps ln(1/eps) overflows
+    ("fourier", "1e-310,1e-309,1e-308"),  # 1/R is not finite
+    ("lorentz", "1e306,1e305,1e304"),  # eps ln(1/eps) is not finite
 ])
-def test_pair_fails_a_fit_whose_regressor_overflows(capfd, family, params):
-    # refused before LAPACK, which would print to fd 1 ahead of the JSON
+def test_pair_fails_an_extreme_ladder_with_its_finest_rung(capfd, family, params):
+    # capfd: only the JSON may reach fd 1, where a LAPACK message would also go;
+    # each ladder ends at its finest rung, the largest R or the smallest eps
     code = main(["pair", "--family", family, "--params", params])
     out, err = capfd.readouterr()
     report = json.loads(out)
     assert code == 1 and err == "" and report["verdict"] == "fail"
-    assert report["extrapolated_limit"] is None and report["abs_limit_error"] is None
+    assert report["extrapolated_limit"] == report["results"][-1]["value"]
+    assert report["abs_limit_error"] == 1.0
 
 
 def test_figure_bad_id_exit_2(capsys):
@@ -619,7 +646,7 @@ def test_other_formats_match_golden(capsys, name):
 
 @pytest.mark.parametrize("argv, code", [
     (["certify", "si_tail"], 0),
-    (["pair", "--family", "fourier", "--params", "100,200,400", "--tol", "1e-12"], 1),
+    (["pair", "--family", "fourier", "--params", "100,200,400", "--tol", "1e-15"], 1),
     (["certify", "lemma4", "--params", "0"], 2),
 ])
 def test_module_entry_point_exit_codes(argv, code):

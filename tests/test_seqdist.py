@@ -234,6 +234,16 @@ def test_pair_by_parts_extrapolated_without_limit():
     assert abs(value - 1.0) <= 1e-4
 
 
+@pytest.mark.parametrize("shift", [0.0, 0.4])
+def test_pair_by_parts_extrapolates_a_lorentz_tower_without_limit(shift):
+    # the by-parts integrals tend to the limit like L + c/n (1/n = eps), so the fit
+    # lands near 2e-8 from f(0), where the n = 800 rung alone is about 5e-4 off
+    blind = lorentz_delta_seq()
+    blind.limit_of_primitives = None
+    f = bump(-2.0, -1.0, 1.0, 2.0).shifted(shift)
+    assert abs(pair_by_parts(blind, f) - float(f(0.0))) <= 1e-7
+
+
 @pytest.mark.parametrize("base, x0, c", [
     (bump(-2.0, -1.0, 1.0, 2.0), 0.4, 2.5),
     (bump(-2.1, -1.2, 1.1, 1.9), 1.5, 1.0),  # the origin lies in a transition
