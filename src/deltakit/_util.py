@@ -1,4 +1,9 @@
-"""Small shared helpers: scalar/array dispatch, argument checks, ln(1 + u^2) and Newton's method."""
+"""Small shared helpers: the scalar rule, argument checks, ln(1 + u^2) and Newton's method.
+
+The scalar rule: a function of points takes x as np.asarray(x, dtype=float) and returns
+through float_if_0d, which gives a 0-d result as a Python float and any other as it is. So
+scalar arguments give a float, and an array parameter broadcasts against x like any operand.
+"""
 
 from __future__ import annotations
 
@@ -24,24 +29,15 @@ def log1p_square(u):
         return np.where(uu < np.inf, np.log1p(uu), 2.0 * np.log(np.abs(u)))
 
 
-def as_float_array(x):
-    """Coerce to a float ndarray; report whether the input was scalar.
-
-    Returns (array, was_scalar). Scalar inputs come back as 0-d arrays so the
-    caller can do `float(out)` at the end and keep a scalar-in scalar-out API.
-    """
-    arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
-
-
-def maybe_scalar(out, was_scalar):
-    return float(out) if was_scalar else out
+def float_if_0d(out):
+    """A 0-d result as a Python float; any other as it is."""
+    return out if getattr(out, "ndim", 0) else float(out)
 
 
 def require_positive(value, name):
-    """A finite positive number as a float, or an ndarray of them as a float array."""
-    if getattr(value, "ndim", 0):
-        arr = value.astype(float, copy=False)
+    """A finite positive number as a float, or an array-like of them as a float ndarray."""
+    if np.ndim(value):
+        arr = np.asarray(value, dtype=float)
         if arr.size and not (arr.min() > 0.0 and arr.max() < np.inf):  # a NaN fails both
             for v in arr.flat:  # the scalar check raises at the first bad value
                 require_positive(v, name)

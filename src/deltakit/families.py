@@ -10,13 +10,17 @@ Two one-parameter families approximate the delta functional:
 
 Both eval functions are even; first primitives are odd, second primitives
 even, all anchored at 0.
+
+Every kernel follows the scalar rule of _util: its parameter (r, eps or n) and x
+broadcast against each other, each value is the one the scalar call gives, bit for
+bit, and a result of scalar arguments is a Python float.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._util import as_float_array, log1p_square, maybe_scalar, require_positive
+from ._util import float_if_0d, log1p_square, require_positive
 from .special import si, sinc, sinc_prime
 
 __all__ = [
@@ -39,22 +43,22 @@ _PI = np.pi
 def sinc_delta(r, x):
     """Truncated-spectrum delta kernel sin(r x)/(pi x); value r/pi at x = 0."""
     r = require_positive(r, "r")
-    arr, scalar = as_float_array(x)
-    return maybe_scalar((r / _PI) * sinc(r * arr), scalar)
+    arr = np.asarray(x, dtype=float)
+    return float_if_0d((r / _PI) * sinc(r * arr))
 
 
 def sinc_delta_prime(r, x):
     """x-derivative of sinc_delta (closed form via the sinc derivative)."""
     r = require_positive(r, "r")
-    arr, scalar = as_float_array(x)
-    return maybe_scalar((r * r / _PI) * sinc_prime(r * arr), scalar)
+    arr = np.asarray(x, dtype=float)
+    return float_if_0d((r * r / _PI) * sinc_prime(r * arr))
 
 
 def sinc_step(r, x):
     """Anchored primitive of sinc_delta: Si(r x)/pi, a smoothed half-step."""
     r = require_positive(r, "r")
-    arr, scalar = as_float_array(x)
-    return maybe_scalar(si(r * arr) / _PI, scalar)
+    arr = np.asarray(x, dtype=float)
+    return float_if_0d(si(r * arr) / _PI)
 
 
 def sinc_kink(r, x):
@@ -65,27 +69,26 @@ def sinc_kink(r, x):
     uniformly to |x|/2 with |error| <= 2/(pi r).
     """
     r = require_positive(r, "r")
-    arr, scalar = as_float_array(x)
+    arr = np.asarray(x, dtype=float)
     u = r * arr
     half = np.sin(0.5 * u)
     out = (arr / _PI) * si(u) - 2.0 * half * half / (r * _PI)
-    return maybe_scalar(out, scalar)
+    return float_if_0d(out)
 
 
 def lorentz_delta(eps, x):
     """Lorentz delta kernel (eps/pi)/(x^2 + eps^2); peak 1/(pi eps) at 0.
 
-    eps may be an array of widths, broadcast against x; each value is the
-    one the scalar call gives, bit for bit. It is s (s eps/pi) / ((s x)^2 + (s eps)^2) with
-    s the power of two that puts s eps in [1/2, 1): the plain form's bits where its steps
-    are normal floats, 0 past |x| ~ 1e154 eps (unwarned), and inf below eps ~ 1e-308.
+    It is s (s eps/pi) / ((s x)^2 + (s eps)^2) with s the power of two that puts s eps in
+    [1/2, 1): the plain form's bits where its steps are normal floats, 0 past
+    |x| ~ 1e154 eps (unwarned), and inf below eps ~ 1e-308.
     """
     eps = require_positive(eps, "eps")
-    arr, scalar = as_float_array(x)
+    arr = np.asarray(x, dtype=float)
     m, e = np.frexp(eps)  # eps = m 2^e, m = s eps in [1/2, 1) for s = 2^-e
     with np.errstate(over="ignore"):  # (s x)^2 overflows far in the tails
         out = np.ldexp(m / _PI, -e) / (np.square(np.ldexp(arr, -e)) + m * m)
-    return maybe_scalar(out, scalar and isinstance(eps, float))
+    return float_if_0d(out)
 
 
 def lorentz_delta_n(n, x):
@@ -97,16 +100,16 @@ def lorentz_delta_n(n, x):
 def lorentz_delta_prime(n, x):
     """x-derivative of lorentz_delta_n."""
     n = require_positive(n, "n")
-    arr, scalar = as_float_array(x)
+    arr = np.asarray(x, dtype=float)
     den = 1.0 + (n * arr) ** 2
-    return maybe_scalar(-(2.0 * n ** 3 / _PI) * arr / (den * den), scalar)
+    return float_if_0d(-(2.0 * n ** 3 / _PI) * arr / (den * den))
 
 
 def lorentz_step(n, x):
     """Anchored primitive of the Lorentz kernel: arctan(n x)/pi."""
     n = require_positive(n, "n")
-    arr, scalar = as_float_array(x)
-    return maybe_scalar(np.arctan(n * arr) / _PI, scalar)
+    arr = np.asarray(x, dtype=float)
+    return float_if_0d(np.arctan(n * arr) / _PI)
 
 
 def lorentz_kink(n, x):
@@ -116,20 +119,17 @@ def lorentz_kink(n, x):
     precise for small n x and finite where (n x)^2 overflows.
     """
     n = require_positive(n, "n")
-    arr, scalar = as_float_array(x)
+    arr = np.asarray(x, dtype=float)
     u = n * arr
     out = arr * np.arctan(u) / _PI - log1p_square(u) / (2.0 * _PI * n)
-    return maybe_scalar(out, scalar)
+    return float_if_0d(out)
 
 
 def half_step(x):
-    """Pointwise limit of sinc_step: -1/2 for x < 0, 0 at 0, +1/2 for x > 0."""
-    arr, scalar = as_float_array(x)
-    out = np.where(arr > 0.0, 0.5, np.where(arr < 0.0, -0.5, 0.0))
-    return maybe_scalar(out, scalar)
+    """Pointwise limit of sinc_step: -1/2 for x < 0, 0 at 0, +1/2 for x > 0, nan at nan."""
+    return float_if_0d(0.5 * np.sign(np.asarray(x, dtype=float)))
 
 
 def half_abs(x):
     """Pointwise (and uniform) limit of the kinks: |x|/2."""
-    arr, scalar = as_float_array(x)
-    return maybe_scalar(0.5 * np.abs(arr), scalar)
+    return float_if_0d(0.5 * np.abs(np.asarray(x, dtype=float)))

@@ -111,7 +111,7 @@ def pair_lorentz_ladder(eps_list, f, *, tol=1e-10):
     adaptive_quad call would refine it. A width whose panel sum of the peak,
     2/(pi eps), overflows raises ValueError before any quadrature.
     """
-    eps = require_positive(np.asarray(eps_list, dtype=float), "eps")
+    eps = require_positive(eps_list, "eps")
     if not all(math.isfinite(2.0 / (math.pi * e)) for e in eps.tolist()):
         raise ValueError(f"eps = {eps.min():g}: the kernel's panel sum 2/(pi eps) overflows")
     reach = max(abs(f.support.lo), abs(f.support.hi))

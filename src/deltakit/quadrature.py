@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._util import EPS, as_float_array, maybe_scalar, require_count
+from ._util import EPS, float_if_0d, require_count
 
 __all__ = ["QuadResult", "QuadratureError", "adaptive_quad", "anchored_primitive_values",
            "half_period_cap"]
@@ -287,14 +287,14 @@ def anchored_primitive_values(f, xs, *, tol=1e-10, max_panel=None, levels=1):
     MAX_PANELS (before f is sampled) or, naming the worst panel, when the
     estimates still sum past tol once the loop stops.
     """
-    xs_arr, scalar = as_float_array(xs)
+    xs_arr = np.asarray(xs, dtype=float)
     if not np.isfinite(xs_arr).all():
         bad = xs_arr[~np.isfinite(xs_arr)][0]
         raise ValueError(f"lifting points must be finite, got x={float(bad)!r}")
     levels = require_count(levels, "levels")
     lo_end, hi_end = xs_arr.min(initial=0.0), xs_arr.max(initial=0.0)
     if lo_end == hi_end:
-        return maybe_scalar(np.zeros(xs_arr.shape), scalar)
+        return float_if_0d(np.zeros(xs_arr.shape))
     # a sorted set: np.unique (numpy 2.4) left a deck's peak RSS 1.6 MB higher
     cuts = np.array(sorted({lo_end, 0.0, hi_end}))
     n_sub = _panel_counts(cuts, max_panel)
@@ -319,7 +319,7 @@ def anchored_primitive_values(f, xs, *, tol=1e-10, max_panel=None, levels=1):
     flat = xs_arr.ravel()
     k = np.clip(lo.searchsorted(flat, side="right") - 1, 0, lo.size - 1)
     t = (flat - lo[k]) / half[k, 0] - 1.0
-    return maybe_scalar(_clenshaw(series.T.copy(), k, t).reshape(xs_arr.shape), scalar)
+    return float_if_0d(_clenshaw(series.T.copy(), k, t).reshape(xs_arr.shape))
 
 
 def _lift_coefficients(f, lo, hi):

@@ -18,7 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from ._util import as_float_array, maybe_scalar, newton, require_positive
+from ._util import float_if_0d, newton, require_positive
 from .quadrature import (_chebyshev_antiderivative, _chebyshev_coefficients, _chebyshev_cosines,
                          _clenshaw, adaptive_quad, anchored_primitive_values)
 
@@ -45,7 +45,7 @@ FUBINI_TOL = 1e-9
 
 def sinc(t):
     """sin(t)/t with a 4-term Taylor series near the removable singularity."""
-    arr, scalar = as_float_array(t)
+    arr = np.asarray(t, dtype=float)
     small = np.abs(arr) < _SERIES_CUTOFF
     # one buffer: sin(t)/t everywhere but the small subset, which gets the series
     out = np.sin(arr, out=np.empty_like(arr))
@@ -53,17 +53,17 @@ def sinc(t):
     small_t = arr[small]
     t2 = small_t * small_t
     out[small] = 1.0 - t2 / 6.0 + t2 * t2 / 120.0 - t2 * t2 * t2 / 5040.0
-    return maybe_scalar(out, scalar)
+    return float_if_0d(out)
 
 
 def sinc_prime(t):
     """d/dt [sin(t)/t] = (cos(t) - sinc(t))/t, series-evaluated for |t| < 1."""
-    arr, scalar = as_float_array(t)
+    arr = np.asarray(t, dtype=float)
     small = np.abs(arr) < 1.0  # above 1 the closed form cancels to < 2e-16
     safe = np.where(small, 1.0, arr)
     out = np.asarray((np.cos(safe) - np.sin(safe) / safe) / safe)  # 0-d for a scalar
     out[small] = arr[small] * np.polyval(_SINC_PRIME_SERIES, arr[small] ** 2)  # Horner in t^2
-    return maybe_scalar(out, scalar)
+    return float_if_0d(out)
 
 
 def _sinc_sq(y):
@@ -131,7 +131,7 @@ def si(x):
     1e-4/x (actual error is far smaller, O(x^-11)). Odd by reflection
     (exactly). Si(+-inf) = +-pi/2 and Si(nan) is nan.
     """
-    arr, scalar = as_float_array(x)
+    arr = np.asarray(x, dtype=float)
     flat = np.atleast_1d(arr).astype(float)
     sign = np.sign(flat)  # nan at nan, which carries through the product below
     ax = np.abs(flat)
@@ -148,7 +148,7 @@ def si(x):
         t2 = t * t
         out[tiny] = t - t * t2 * (1 / 18 - t2 * (1 / 600 - t2 * (1 / 35280 - t2 / 3265920)))
     out *= sign
-    return maybe_scalar(out.reshape(np.shape(arr)), scalar)
+    return float_if_0d(out.reshape(np.shape(arr)))
 
 
 def si_half_pi_roots(upper):
@@ -167,10 +167,10 @@ def dirichlet_tail(x):
 
     Satisfies |dirichlet_tail(x)| <= 2/x (one integration by parts).
     """
-    arr, scalar = as_float_array(x)
+    arr = np.asarray(x, dtype=float)
     if np.any(arr <= 0.0):
         raise ValueError("dirichlet_tail requires x > 0")
-    return maybe_scalar(HALF_PI - si(arr), scalar)
+    return float_if_0d(HALF_PI - si(arr))
 
 
 def sinc_sq_integral(a, b):
@@ -181,7 +181,7 @@ def sinc_sq_integral(a, b):
     does not converge; b = inf is pi/2 minus the head. A scalar b gives a float.
     """
     a = float(a)
-    b, scalar = as_float_array(b)
+    b = np.asarray(b, dtype=float)
     if a < 0.0:
         raise ValueError("sinc_sq_integral requires a >= 0")
     if not np.all(b > a):
@@ -191,7 +191,7 @@ def sinc_sq_integral(a, b):
     heads = anchored_primitive_values(_sinc_sq, np.append(a, b[finite]), tol=SINC_SQ_TOL,
                                       max_panel=math.pi)
     ends[finite] = heads[1:]
-    return maybe_scalar(ends - heads[0], scalar)
+    return float_if_0d(ends - heads[0])
 
 
 # order -> (the outer integral over [0, R] of the inner integral's 1 term, in closed form;

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import as_float_array, maybe_scalar, require_count
+from ._util import float_if_0d, require_count
 from .quadrature import _panel_rule, _refine_rows
 
 __all__ = [
@@ -109,16 +109,14 @@ def _mollifier_jet(t, order, sign=1.0):
 
 def mollifier(x):
     """exp(-1/x) for x > 0, exactly 0 for x <= 0 (and below the underflow knee)."""
-    arr, scalar = as_float_array(x)
-    return maybe_scalar(_mollifier_jet(arr, 0)[0], scalar)
+    return float_if_0d(_mollifier_jet(np.asarray(x, dtype=float), 0)[0])
 
 
 class _JetFunction:
     """A function given by its jet(x, order): its value is the order-0 coefficient."""
 
     def __call__(self, x):
-        arr, scalar = as_float_array(x)
-        return maybe_scalar(self.jet(arr, 0)[0], scalar)
+        return float_if_0d(self.jet(np.asarray(x, dtype=float), 0)[0])
 
 
 class SmoothStep(_JetFunction):
@@ -259,8 +257,7 @@ def derivative(f, x, order=1):
         raise ValueError(f"derivative order must be in [1, {MAX_DERIVATIVE_ORDER}], got {order}")
     if not hasattr(f, "jet"):
         raise TypeError(f"derivative reads f.jet(x, order), and {f!r} has no jet")
-    arr, scalar = as_float_array(x)
-    return maybe_scalar(math.factorial(order) * f.jet(arr, order)[order], scalar)
+    return float_if_0d(math.factorial(order) * f.jet(np.asarray(x, dtype=float), order)[order])
 
 
 class DifferenceQuotient(_JetFunction):

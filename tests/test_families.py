@@ -94,6 +94,8 @@ def test_lorentz_delta_broadcasts_an_array_of_widths():
                for i, e in enumerate(eps) for j, x in enumerate(xs))
     assert np.array_equal(lorentz_delta(eps, 0.25), [lorentz_delta(e, 0.25) for e in eps])
     assert isinstance(lorentz_delta(0.5, 0.25), float)
+    # a list of widths is an array of them, as a list of points is for x
+    assert np.array_equal(lorentz_delta([0.1, 0.2], 0.0), lorentz_delta(np.array([0.1, 0.2]), 0.0))
     for bad in (0.0, -1e-3, math.nan):
         with pytest.raises(ValueError, match="eps must be a finite positive number"):
             lorentz_delta(np.array([0.1, bad, 0.2]), xs)
@@ -202,3 +204,7 @@ def test_limit_objects():
     assert half_step(-1e-9) == -0.5
     assert half_abs(-3.0) == 1.5
     assert half_step(2.0) == 0.5
+    # nan at nan, as half_abs, sinc_step and lorentz_step give
+    assert math.isnan(half_step(math.nan))
+    assert np.array_equal(half_step([-math.inf, -0.0, math.nan, math.inf]),
+                          [-0.5, 0.0, math.nan, 0.5], equal_nan=True)

@@ -382,6 +382,10 @@ def test_extrapolate_validation():
     for params in ((0.0, 0.1, 0.2), (-0.1, 0.1, 0.2)):
         with pytest.raises(ValueError, match="log_corrected mode requires positive params"):
             extrapolate_limit([(p, 1.0) for p in params], mode="log_corrected")
+    # finite regressors, but 1 and 1/p (or p ln(1/p)) are too far apart in scale for rank 2
+    for mode in ("inverse_param", "log_corrected"):
+        with pytest.raises(ValueError, match="singular fit matrix"):
+            extrapolate_limit([(1e-300, 1.0), (2e-300, 1.0), (3e-300, 1.0)], mode=mode)
 
 
 def test_extrapolate_inverse_param_rejects_a_zero_param(capfd):

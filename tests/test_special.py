@@ -110,6 +110,10 @@ def test_sinc_sq_integral_validation():
         sinc_sq_integral(2.0, 2.0)
     with pytest.raises(ValueError):
         sinc_sq_integral(2.0, 1.0)
+    # a first cut past MAX_PANELS is refused: widened, it would put no Kronrod node near 0
+    # and "converge" to 0.0, not pi/2
+    with pytest.raises(QuadratureError, match="panels, over 200000"):
+        sinc_sq_integral(0.0, 1e300)
 
 
 def test_sinc_sq_integral_reads_every_end_off_one_lift():
