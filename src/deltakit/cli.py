@@ -153,14 +153,13 @@ def cmd_pair(config, pair_parser):
             pair_parser.error(f"argument --shift: {exc}")
     f0 = float(f(0.0))
     try:
-        if config.family == "fourier":
-            results = [pair_sinc(p, f) for p in config.params]
-        else:  # the whole ladder is one quadrature
-            results = pair_lorentz_ladder(config.params, f)
+        if config.family == "fourier":  # the finest rung is the largest R
+            results, finest = [pair_sinc(p, f) for p in config.params], max
+        else:  # the whole ladder is one quadrature, and the finest rung the smallest eps
+            results, finest = pair_lorentz_ladder(config.params, f), min
     except ValueError as exc:  # a kernel that overflows
         pair_parser.error(f"argument --params: {exc}")
     runs = list(zip(config.params, results))
-    finest = max if config.family == "fourier" else min  # the largest R, the smallest eps
     limit = finest(runs, key=lambda run: run[0])[1].value
     limit_error = abs(limit - f0)
     passed = limit_error <= config.tolerance and all(res.converged for _, res in runs)

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._util import require_positive
 from .families import lorentz_delta, sinc_delta
-from .quadrature import QuadratureError, _first_cut, _quad_rows, adaptive_quad, half_period_cap
+from .quadrature import _dyadic_edges, _first_cut, _quad_rows, adaptive_quad, half_period_cap
 from .special import si
 from .testfn import Interval, derivative, difference_quotient
 
@@ -91,9 +91,8 @@ def pair_split(r, f):
     g = difference_quotient(f)
     quad = adaptive_quad(lambda x: g(x) * np.sin(r * x), -M, M,
                          tol=PAIR_TOL, max_panel=half_period_cap(r))
-    if not quad.converged:
-        raise QuadratureError(f"pair_split: the integral at r = {r:g} did not converge")
-    return quad.value / math.pi, 2.0 * float(f(0.0)) * si(r * M) / math.pi
+    return (quad.kept(f"pair_split: the integral at r = {r:g}") / math.pi,
+            2.0 * float(f(0.0)) * si(r * M) / math.pi)
 
 
 def pair_lorentz(eps, f):
@@ -115,13 +114,8 @@ def pair_lorentz_ladder(eps_list, f, *, tol=1e-10):
     if not all(math.isfinite(2.0 / (math.pi * e)) for e in eps.tolist()):
         raise ValueError(f"eps = {eps.min():g}: the kernel's panel sum 2/(pi eps) overflows")
     reach = max(abs(f.support.lo), abs(f.support.hi))
-    cuts = []
-    for scale in eps.tolist():
-        edges = [0.0]
-        while scale < reach:
-            edges.extend((scale, -scale))
-            scale *= 2.0
-        cuts.append(_first_cut(f.support.lo, f.support.hi, edges, 0.5))
+    cuts = [_first_cut(f.support.lo, f.support.hi, [0.0, *up, *(-d for d in up)], 0.5)
+            for up in (_dyadic_edges(e, reach) for e in eps.tolist())]
     return _quad_rows(lambda i, x: lorentz_delta(eps[i], x) * f(x), cuts, tol=tol)
 
 
@@ -147,17 +141,13 @@ def sine_decay_fit(g, interval, r_list):
     rows = _quad_rows(lambda i, x: np.asarray(g(x), dtype=float) * np.sin(r_arr[i] * x),
                       [_first_cut(iv.lo, iv.hi, (), half_period_cap(r)) for r in rs],
                       tol=SINE_DECAY_TOL)
-    samples = []
-    for r, res in zip(rs, rows):
-        if not res.converged:
-            raise QuadratureError(f"sine_decay_fit: the integral at r = {r:g} did not converge")
-        samples.append((r, res.value))
+    samples = [(r, res.kept(f"sine_decay_fit: the integral at r = {r:g}"))
+               for r, res in zip(rs, rows)]
 
     bound = adaptive_quad(lambda x: np.abs(derivative(g, x, 1)), iv.lo, iv.hi, tol=1e-8,
                           max_panel=half_period_cap(rs[-1]))
-    if not bound.converged:
-        raise QuadratureError("sine_decay_fit: the bound integral of |g'| did not converge")
-    bound_const = abs(float(g(iv.hi))) + abs(float(g(iv.lo))) + bound.value
+    bound_const = (abs(float(g(iv.hi))) + abs(float(g(iv.lo)))
+                   + bound.kept("sine_decay_fit: the bound integral of |g'|"))
     for r, value in samples:
         if abs(value) > bound_const / r + 1e-9:
             raise ArithmeticError(

@@ -77,8 +77,8 @@ LIFT_POINTS = 25
 
 
 class QuadratureError(ArithmeticError):
-    """Raised when an integrand produces non-finite values, or when a quadrature
-    whose value is kept without its QuadResult does not converge."""
+    """Raised when an integrand produces non-finite values, or when a quadrature misses
+    its tolerance where only its value is kept: QuadResult.kept is that rule."""
 
 
 @dataclass(frozen=True)
@@ -90,6 +90,12 @@ class QuadResult:
     abs_error_estimate: float
     panels_used: int
     converged: bool
+
+    def kept(self, what):
+        """value if converged, else QuadratureError "<what> did not converge"."""
+        if not self.converged:
+            raise QuadratureError(f"{what} did not converge")
+        return self.value
 
 
 def _call_integrand(f, pts):
@@ -224,6 +230,15 @@ def _first_cut(a, b, breakpoints, max_panel, max_panels=MAX_PANELS):
         spare = max_panels - (cuts.size - 2)
         n_sub = _panel_counts(cuts, (b - a) / spare * (1.0 + 4.0 * EPS) if spare > 0 else None)
     return _initial_edges(cuts, n_sub)
+
+
+def _dyadic_edges(scale, reach):
+    """scale 2^k, k = 0, 1, ... while below reach: first-cut edges of a peak of width scale."""
+    edges = []
+    while scale < reach:
+        edges.append(scale)
+        scale *= 2.0
+    return edges
 
 
 def _refine_rows(rule, cuts, tol, max_panels):

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._util import float_if_0d, newton, require_positive
 from .quadrature import (_chebyshev_antiderivative, _chebyshev_coefficients, _chebyshev_cosines,
-                         _clenshaw, adaptive_quad, anchored_primitive_values)
+                         _clenshaw, _dyadic_edges, adaptive_quad, anchored_primitive_values)
 
 __all__ = ["si", "si_half_pi_roots", "dirichlet_tail", "sinc_sq_integral", "fubini_square"]
 
@@ -168,7 +168,7 @@ def dirichlet_tail(x):
     Satisfies |dirichlet_tail(x)| <= 2/x (one integration by parts).
     """
     arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0.0):
+    if not np.all(arr > 0.0):  # NaN fails too
         raise ValueError("dirichlet_tail requires x > 0")
     return float_if_0d(HALF_PI - si(arr))
 
@@ -221,9 +221,6 @@ def fubini_square(R, order="x_first"):
         raise ValueError(f"order must be 'x_first' or 'alpha_first', got {order!r}")
     head, layer = _FUBINI_ORDERS[order]
     reach = min(R, 745.0 / R)
-    edges, edge = [], 1.0 / R
-    while edge < reach:
-        edges.append(edge)
-        edge *= 2.0
-    res = adaptive_quad(lambda t: layer(R, t), 0.0, reach, tol=FUBINI_TOL, breakpoints=edges)
+    res = adaptive_quad(lambda t: layer(R, t), 0.0, reach, tol=FUBINI_TOL,
+                        breakpoints=_dyadic_edges(1.0 / R, reach))
     return replace(res, value=head(R) - res.value)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import float_if_0d, require_count
-from .quadrature import _panel_rule, _refine_rows
+from .quadrature import QuadratureError, _panel_rule, _refine_rows
 
 __all__ = [
     "Interval",
@@ -312,7 +312,7 @@ class DifferenceQuotient(_JetFunction):
 
         row, _, _, vals, errs = _refine_rows(rule, [[0, 1]] * x.size, 1e-12, MAX_QUOTIENT_PANELS)
         if not (total := np.bincount(row, errs, x.size)).max() <= 1e-12:  # NaN fails too
-            raise ArithmeticError(f"the difference quotient of {f!r} at "
+            raise QuadratureError(f"the difference quotient of {f!r} at "
                                   f"x = {float(x[total.argmax()])!r} "
                                   f"needs more than {MAX_QUOTIENT_PANELS} panels")
         g = np.full((x.size, order + 1), -0.0)  # -0.0 + v is v, bit for bit

@@ -18,7 +18,8 @@ from deltakit import (FundamentalSeq, QuadResult, QuadratureError, adaptive_quad
                       lorentz_delta, lorentz_delta_n, lorentz_kink, lorentz_step, sinc_delta,
                       sinc_kink, sinc_step)
 from deltakit import quadrature, testfn
-from deltakit.quadrature import NODES, ROW_BLOCK_NODES, _first_cut, _panel_rule, _quad_rows
+from deltakit.quadrature import (NODES, ROW_BLOCK_NODES, _dyadic_edges, _first_cut, _panel_rule,
+                                 _quad_rows)
 from deltakit.special import FUBINI_TOL
 
 
@@ -96,6 +97,23 @@ def test_converged_reports_the_tolerance():
     res = adaptive_quad(np.cos, 0.0, 1.0, tol=1e-12)
     assert res.converged and res.abs_error_estimate <= 1e-12
     assert adaptive_quad(np.cos, 1.0, 1.0).converged
+
+
+def test_kept_is_the_value_of_a_converged_result():
+    res = adaptive_quad(np.cos, 0.0, 1.0, tol=1e-12)
+    assert res.converged and res.kept("cos").hex() == res.value.hex()
+    with pytest.raises(QuadratureError) as exc:
+        replace(res, converged=False).kept("the integral of cos")
+    assert str(exc.value) == "the integral of cos did not converge"
+
+
+def test_dyadic_edges_double_while_below_reach():
+    assert _dyadic_edges(0.1, 1.0) == [0.1, 0.2, 0.4, 0.8]
+    assert _dyadic_edges(0.25, 1.0) == [0.25, 0.5]  # reach itself is not an edge
+    assert _dyadic_edges(1.0, 1.0) == [] and _dyadic_edges(2.0, 1.0) == []
+    # doubling is exact, and it stops at the float range's end, inf not being below inf
+    assert _dyadic_edges(2.0 ** -1074, 1.0) == [2.0 ** k for k in range(-1074, 0)]
+    assert _dyadic_edges(1e308, math.inf) == [1e308]
 
 
 def test_finite_difference_noise_does_not_converge():

@@ -89,6 +89,11 @@ def test_dirichlet_tail():
         dirichlet_tail(0.0)
     with pytest.raises(ValueError):
         dirichlet_tail(-1.0)
+    # NaN is not > 0
+    with pytest.raises(ValueError):
+        dirichlet_tail(math.nan)
+    with pytest.raises(ValueError):
+        dirichlet_tail([1.0, math.nan])
     assert_allclose(dirichlet_tail(math.pi), DIRICHLET_TAIL_PI, atol=1e-12, rtol=0)
     for x in (1.0, 10.0, 100.0):
         assert abs(dirichlet_tail(x)) <= 2.0 / x

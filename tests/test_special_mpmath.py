@@ -76,12 +76,29 @@ def test_sinc_derivatives_match_mpmath_across_the_series_switch():
             assert err <= 1e-15 * r * r / math.pi, (r, t)
 
 
+def _mp_lorentz_prime(n, x):
+    """-2 n^3 x / (pi (1 + n^2 x^2)^2), the closed form, at 60 digits."""
+    with mpmath.workdps(60):
+        n, x = mpmath.mpf(n), mpmath.mpf(x)
+        return float(-2 * n ** 3 * x / (mpmath.pi * (1 + (n * x) ** 2) ** 2))
+
+
 def test_lorentz_delta_prime_matches_mpmath():
     for n in (1.0, 100.0):
         kernel = lambda y: n / (mpmath.pi * (1 + (n * y) ** 2))
         for t in _NEAR_SWITCH + [0.3, -2.5, 7.0]:
             want = _mp_diff(kernel, t / n)
             assert abs(lorentz_delta_prime(n, t / n) - want) <= 1e-15 * abs(want), (n, t)
+    # points whose value is a float where the closed form's (1 + (n x)^2)^2 (n x past
+    # ~1.2e77) or n^3 (n past ~5.6e102) overflows; a warning fails the suite
+    for n, x in ([(1e30, t / 1e30) for t in _NEAR_SWITCH + [0.3, -2.5, 7.0]]
+                 + [(1e80, 0.1), (1e100, 5.0), (1e200, 1e-150)]):
+        want = _mp_lorentz_prime(n, x)
+        assert abs(lorentz_delta_prime(n, x) - want) <= 1e-15 * abs(want), (n, x)
+    # past |x| ~ 1e154/n the kernel reads 0, and so does its derivative; -2 n^3 x / pi at
+    # n x = 1e-8 is -6e591, past the float range: -inf, as the kernel reads inf past it
+    assert lorentz_delta_prime(1e200, 5.0) == 0.0
+    assert lorentz_delta_prime(1e300, 1e-308) == -math.inf
 
 
 def _iv_si(x):

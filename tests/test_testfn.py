@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from _oracles import fd_derivative
-from deltakit import (Interval, TestFunction, bump, derivative,
+from deltakit import (Interval, QuadratureError, TestFunction, bump, derivative,
                       difference_quotient, mollifier, smooth_step_down,
                       smooth_step_up)
 from deltakit import testfn
@@ -240,7 +240,7 @@ def test_difference_quotient_splits_its_integral_over_a_narrow_transition(monkey
     x = 0.9 * g.switch
     assert g(x) == pytest.approx((f(x) - f(0.0)) / x, rel=1e-13)
     monkeypatch.setattr(testfn, "MAX_QUOTIENT_PANELS", 4)
-    with pytest.raises(ArithmeticError, match=re.escape(f"at x = {x!r} needs more than 4 panels")):
+    with pytest.raises(QuadratureError, match=re.escape(f"at x = {x!r} needs more than 4 panels")):
         g(x)
 
 
